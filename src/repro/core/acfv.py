@@ -27,7 +27,9 @@ uses the raw count, exactly as the hardware would.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.caches.hierarchy import HierarchyObserver
 from repro.core.hashing import make_hash
@@ -46,6 +48,14 @@ class Acfv:
     def set(self, tag: int) -> None:
         """Mark the hashed tag active (new or reused data)."""
         self._vector |= 1 << self.hash(tag)
+
+    def set_many(self, tags) -> None:
+        """Mark every tag of an ``int64`` array active — the same final
+        vector as calling :meth:`set` on each, in any order."""
+        mask = np.zeros(self.bits, dtype=bool)
+        mask[self.hash.many(tags)] = True
+        self._vector |= int.from_bytes(
+            np.packbits(mask, bitorder="little").tobytes(), "little")
 
     def clear(self, tag: int) -> None:
         """Mark the hashed tag inactive (data replaced)."""
@@ -163,6 +173,17 @@ class AcfvBank(HierarchyObserver):
         self.vectors[level][core].set(tag)
         if level == "l2":
             self.vectors["l3"][core].set(tag)
+
+    def record_hits(self, core: int, l2_lines: Collection[int],
+                    l3_lines: Collection[int]) -> None:
+        """Apply a batch of ``core``'s hits at once: exactly the vectors that
+        :meth:`on_hit` per L2-hit line and per L3-hit line would leave,
+        since each hit only ORs in a bit (the L3 vector takes both sets —
+        the inclusion rule of :meth:`on_hit`)."""
+        l2 = np.fromiter(l2_lines, dtype=np.int64, count=len(l2_lines))
+        l3 = np.fromiter(l3_lines, dtype=np.int64, count=len(l3_lines))
+        self.vectors["l2"][core].set_many(l2)
+        self.vectors["l3"][core].set_many(np.concatenate((l2, l3)))
 
     def on_fill(self, level: str, slice_id: int, core: int, tag: int) -> None:
         """Fills do not count until the line proves reuse with a hit."""

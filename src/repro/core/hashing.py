@@ -11,9 +11,15 @@ The paper evaluates two efficient hardware hashes of the cache tag:
 Figure 5 shows XOR tracking an oracle footprint estimator noticeably better
 than modulo at small vector sizes, because modulo of sequentially-strided
 tags aliases whole regions onto few bits.
+
+Both hashes come in two forms: ``h(tag)`` for one tag and ``h.many(tags)``
+for an ``int64`` array of tags, which is bit-identical element by element
+(the batch engine hashes a whole epoch's hit lines at once).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class XorFoldHash:
@@ -31,9 +37,28 @@ class XorFoldHash:
         self._mask = (1 << self._width) - 1
 
     def __call__(self, tag: int) -> int:
+        if tag < 0:
+            # Arithmetic right shift never reaches 0 from a negative value.
+            raise ValueError(f"tag must be non-negative, got {tag}")
         value = tag
         folded = 0
         while value:
+            folded ^= value & self._mask
+            value >>= self._width
+        return folded % self.bits
+
+    def many(self, tags) -> np.ndarray:
+        """Hash an array of non-negative ``int64`` tags at once."""
+        value = np.array(tags, dtype=np.int64)  # a copy: shifted in place
+        folded = np.zeros(value.shape, dtype=np.int64)
+        if not value.size:
+            return folded
+        if int(value.min()) < 0:
+            raise ValueError("tags must be non-negative")
+        # A fixed round count (chunks in the widest tag) replaces the
+        # scalar form's data-dependent loop; surplus rounds XOR in zeros.
+        rounds = -(-int(value.max()).bit_length() // self._width)
+        for _ in range(rounds):
             folded ^= value & self._mask
             value >>= self._width
         return folded % self.bits
@@ -51,6 +76,10 @@ class ModuloHash:
 
     def __call__(self, tag: int) -> int:
         return tag % self.bits
+
+    def many(self, tags) -> np.ndarray:
+        """Hash an array of ``int64`` tags at once."""
+        return np.asarray(tags, dtype=np.int64) % self.bits
 
 
 def make_hash(name: str, bits: int):

@@ -32,7 +32,14 @@ Why reordering is sound — the set-partition argument (DESIGN.md §7):
    exactly the same per-set state in exactly the same per-set order as the
    fully interleaved stream.  Per-core/per-slice counters are integer sums
    (order-free); observer effects are gated to order-free ones (ACFV
-   ``on_hit`` is a bitwise OR; see :func:`_observer_order_free`).
+   ``on_hit`` is a bitwise OR; see :func:`_observer_order_free`).  The
+   kernels therefore do not call ``on_hit`` at all: each adds the hit line
+   to its core's L2 or L3 hit set and flushes the sets into the ACFVs with
+   one vectorised hash per core (:meth:`AcfvBank.record_hits`) — the
+   per-core kernel right after that core's loop, the others at kernel end.
+   The result is exact: OR is idempotent and commutative, fault injection
+   flips ACFV bits before the epoch's first access, and the controller
+   reads the vectors only after the epoch returns.
 
 4. Timing sums exactly.  ``cycles`` accumulates dyadic rationals on a
    coarse grid whenever ``issue_width`` is a power of two and the hidden
@@ -199,7 +206,11 @@ def _observer_order_free(hier: CacheHierarchy) -> bool:
 
     The base observer's hooks are no-ops; an :class:`AcfvBank` with no
     eviction-time clearing only ever ORs bits in on hits, so the final
-    vectors are independent of cross-partition order.  Any other observer
+    vectors are independent of cross-partition order — and of *when* the
+    bits are ORed in, which lets the kernels buffer each core's hit lines
+    and flush them once per epoch (:func:`_flush_hits`): OR is idempotent
+    and commutative, faults flip bits before any access, and nothing reads
+    the vectors until the epoch returns.  Any other observer
     (or clear-on-evict banks, where a cross-partition hash collision could
     interleave a set and a clear of the same bit differently) routes the
     epoch to the order-preserving general kernel.
@@ -238,6 +249,21 @@ def _group_timing_exact(hier, timers, active, gap_sums,
         if not timer.batch_summation_exact(bound):
             return False
     return True
+
+
+def _flush_hits(hier: CacheHierarchy, active: List[int],
+                hits2: List[set], hits3: List[set]) -> None:
+    """Apply the kernel's buffered per-core L2/L3 hit lines to the ACFVs.
+
+    Under :func:`_observer_order_free` a hit-notified observer is an
+    :class:`AcfvBank` whose ``on_hit`` only ORs bits in, so one
+    :meth:`AcfvBank.record_hits` per core after the loop leaves exactly the
+    vectors the per-hit calls would have.
+    """
+    if hier._notify_hit:
+        record = hier.observer.record_hits
+        for core in active:
+            record(core, hits2[core], hits3[core])
 
 
 # -- the per-core kernel (no shared lines) -----------------------------------
@@ -411,7 +437,6 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
     lat_mem = lat.memory
     directory = hier._l1_directory
     notify_hit = hier._notify_hit
-    on_hit = hier.observer.on_hit
     new_entry = Entry
     core_stats = hier.stats.cores
     l2_stats = hier._l2_slice_stats
@@ -437,6 +462,12 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
         # branch is the most-executed one, so it carries no counter at all.
         cl1 = cl2 = cmem = evi2 = evi3 = 0
         stamp = base + rank + 1 - k
+        # This core's L2/L3 hit lines, flushed into its ACFVs after the
+        # loop (the gate makes on_hit an order-free OR).
+        hits2 = set()
+        hits3 = set()
+        add2 = hits2.add
+        add3 = hits3.add
 
         for line, write in zip(lines_list, writes_list):
             stamp += k
@@ -461,7 +492,7 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
                 bucket2[line] = entry
                 cl2 += 1
                 if notify_hit:
-                    on_hit(L2, core, core, line)
+                    add2(line)
             else:
                 set3 = line & m3
                 bucket3 = l3x[set3]
@@ -471,7 +502,7 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
                     del bucket3[line]
                     bucket3[line] = entry
                     if notify_hit:
-                        on_hit(L3, core, core, line)
+                        add3(line)
                 else:
                     cmem += 1
                     ways3 = l3d[set3]
@@ -561,6 +592,8 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
             del directory[ln]
         for ln in new_resident - old_resident:
             directory[ln] = {core}
+        if notify_hit:
+            hier.observer.record_hits(core, hits2, hits3)
 
         # Per-core flush: counters into stats, one exact timing reduction.
         cl3 = n_accesses - cl1 - cl2 - cmem
@@ -647,7 +680,9 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
     l3_cover = [hier._l3_group_of[c] for c in range(n_cores)]
     directory = hier._l1_directory
     notify_hit = hier._notify_hit
-    on_hit = hier.observer.on_hit
+    # Per-core L2/L3 hit lines, flushed into the ACFVs at kernel end.
+    hits2 = [set() for _ in range(n_cores)]
+    hits3 = [set() for _ in range(n_cores)]
     inval_others = hier._invalidate_other_l1s
     new_entry = Entry
 
@@ -707,7 +742,7 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
             c_l2[core] += 1
             hc_level = hc2
             if notify_hit:
-                on_hit(L2, core, core, line)
+                hits2[core].add(line)
         else:
             # L3 probe.
             bucket3 = l3_idx[core][line & m3]
@@ -719,7 +754,7 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
                 c_l3[core] += 1
                 hc_level = hc3
                 if notify_hit:
-                    on_hit(L3, core, core, line)
+                    hits3[core].add(line)
             else:
                 # Main memory; fill L3 (inlined _fill_private, observer
                 # fill/evict hooks elided — no-ops under the gate).
@@ -858,6 +893,7 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
                    + off_extra[core])
         timer.account_summary(n_accesses, gap_sums[core], latency_sum,
                               offchip)
+    _flush_hits(hier, active, hits2, hits3)
 
 
 # -- the slice-group kernel (merged / shared topologies) ---------------------
@@ -956,8 +992,9 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     through one exact reduction per core (the dispatch gate verified
     exactness against the worst-case latency bound).  Observer
     ``on_fill``/``on_evict`` are elided — no-ops under
-    :func:`_observer_order_free` — and ``on_hit`` fires exactly where the
-    event path would.
+    :func:`_observer_order_free` — and every hit the event path would
+    report to ``on_hit`` is buffered per core and flushed at the end
+    (:func:`_flush_hits`).
     """
     state = _group_state(hier)
     maps = state["maps"]
@@ -1051,7 +1088,9 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
 
     directory = hier._l1_directory
     notify_hit = hier._notify_hit
-    on_hit = hier.observer.on_hit
+    # Per-core L2/L3 hit lines, flushed into the ACFVs at kernel end.
+    hits2 = [set() for _ in range(n_cores)]
+    hits3 = [set() for _ in range(n_cores)]
     inval_others = hier._invalidate_other_l1s
     new_entry = Entry
 
@@ -1282,7 +1321,7 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             else:
                 c_l2r[core] += 1
             if notify_hit:
-                on_hit(L2, win, core, line)
+                hits2[core].add(line)
             latency = lat2[core][win]
             fill_l1(core, line, write, stamp)
             if write:
@@ -1334,7 +1373,7 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             else:
                 c_l3r[core] += 1
             if notify_hit:
-                on_hit(L3, win, core, line)
+                hits3[core].add(line)
             latency = lat3[core][win]
             if fill_l2(core, line, write, stamp) is not None:
                 fill_l1(core, line, write, stamp)
@@ -1390,6 +1429,7 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             memory_accesses=c_mem[core], memory_cycles=c_mem[core] * lat_mem)
         timers[core].account_summary(n_accesses, gap_sums[core],
                                      lat_sum[core], off[core])
+    _flush_hits(hier, active, hits2, hits3)
     _mark_group_clean(hier)
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,29 @@ class TestAcfvBank:
         assert bank.acfv("l2", 0).ones == 0
         assert bank.acfv("l3", 3).ones == 0
 
+    def test_record_hits_matches_on_hit(self):
+        # L2-hit lines land in both vectors (inclusion), L3-hit lines in
+        # the L3 vector only — the same state per-hit on_hit leaves.
+        l2_lines, l3_lines = {1, 9, 40}, {9, 77, 1 << 41}
+        batched, per_hit = self.make_bank(), self.make_bank()
+        batched.acfv("l3", 2).flip(5)
+        per_hit.acfv("l3", 2).flip(5)
+        batched.record_hits(2, l2_lines, l3_lines)
+        for line in l2_lines:
+            per_hit.on_hit("l2", 2, 2, line)
+        for line in l3_lines:
+            per_hit.on_hit("l3", 2, 2, line)
+        for level in ("l2", "l3"):
+            for core in range(4):
+                assert batched.acfv(level, core).as_int() \
+                    == per_hit.acfv(level, core).as_int(), (level, core)
+
+    def test_record_hits_empty_is_noop(self):
+        bank = self.make_bank()
+        bank.record_hits(0, set(), set())
+        assert bank.acfv("l2", 0).ones == 0
+        assert bank.acfv("l3", 0).ones == 0
+
     def test_rejects_non_positive_cores(self):
         with pytest.raises(ValueError):
             AcfvBank(0, 8, 8)
@@ -179,3 +203,18 @@ def test_property_ones_bounded_by_distinct_tags(tags):
         acfv.set(tag)
     assert acfv.ones <= len(tags)
     assert acfv.ones >= 1
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**62), max_size=60),
+       st.sampled_from([2, 8, 32, 64, 100, 128, 256, 512]),
+       st.sampled_from(["xor", "modulo"]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_property_set_many_matches_sequential_set(tags, bits, name,
+                                                  duplicate):
+    if duplicate:
+        tags = tags + tags[: len(tags) // 2]
+    batched, sequential = Acfv(bits, name), Acfv(bits, name)
+    batched.set_many(np.array(tags, dtype=np.int64))
+    for tag in tags:
+        sequential.set(tag)
+    assert batched.as_int() == sequential.as_int()

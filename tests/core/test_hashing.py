@@ -1,10 +1,29 @@
 """Tests for the ACFV hash functions (Section 2.1, Figure 5)."""
 
+import contextlib
+import signal
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashing import ModuloHash, XorFoldHash, make_hash
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail (rather than hang) if the body runs longer than ``seconds``."""
+    def _expired(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestXorFoldHash:
@@ -35,6 +54,17 @@ class TestXorFoldHash:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             XorFoldHash(0)
+
+    def test_rejects_negative_tag(self):
+        # Regression: ``value >>= width`` stalls at -1, so a negative tag
+        # used to spin forever.  Under the deadline a hang fails the test
+        # instead of wedging the suite.
+        hash_ = XorFoldHash(64)
+        with _deadline(5):
+            with pytest.raises(ValueError):
+                hash_(-5)
+            with pytest.raises(ValueError):
+                hash_.many(np.array([3, -5, 7], dtype=np.int64))
 
 
 class TestModuloHash:
@@ -70,3 +100,30 @@ class TestMakeHash:
 def test_property_both_hashes_in_range(tag, bits):
     assert 0 <= XorFoldHash(bits)(tag) < bits
     assert 0 <= ModuloHash(bits)(tag) < bits
+
+
+# -- the vectorised form ----------------------------------------------------
+
+BITS = [2, 8, 32, 64, 100, 128, 256, 512]
+TAGS = st.lists(st.integers(min_value=0, max_value=2**62), max_size=60)
+
+
+@given(TAGS, st.sampled_from(BITS), st.sampled_from(["xor", "modulo"]),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_property_many_matches_scalar(tags, bits, name, duplicate):
+    if duplicate:
+        tags = tags + tags[: len(tags) // 2]
+    hash_ = make_hash(name, bits)
+    out = hash_.many(np.array(tags, dtype=np.int64))
+    assert out.tolist() == [hash_(t) for t in tags]
+
+
+def test_many_empty_and_input_untouched():
+    tags = np.array([2**40 + 17, 5, 0], dtype=np.int64)
+    before = tags.copy()
+    for name in ("xor", "modulo"):
+        hash_ = make_hash(name, 100)
+        assert hash_.many(np.array([], dtype=np.int64)).tolist() == []
+        hash_.many(tags)
+        assert np.array_equal(tags, before)

@@ -4,7 +4,7 @@ Layers (each its own module, each testable without the one above):
 
 - :mod:`repro.serve.jobs` — the job model: validated submissions
   (:class:`JobSpec`), in-service state (:class:`Job`), the durable per-job
-  directory contract, and the spawned job-process entry point.
+  directory contract, and the job-process entry point.
 - :mod:`repro.serve.queue` — bounded admission + stride-scheduled
   weighted-fair dispatch (:class:`FairQueue`, :class:`TenantQuota`).
 - :mod:`repro.serve.recovery` — restart-time classification of the state

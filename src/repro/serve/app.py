@@ -4,9 +4,14 @@
 multi-tenant service.  One process, one event loop, zero new runtime
 dependencies: the HTTP layer is a small hand-rolled parser over
 ``asyncio.start_server`` (bounded request sizes, one request per
-connection), and every simulation executes in a *spawned child process* so
-the service survives anything a job does — and a watchdog SIGKILL of a job
-is just a process kill, never a wedged thread.
+connection), and every simulation executes in a child process forked from
+a preloaded *forkserver* so the service survives anything a job does — and
+a watchdog SIGKILL of a job is just a process kill, never a wedged thread.
+The forkserver is a fresh single-threaded interpreter that has imported
+the simulator once (:data:`JOB_PRELOAD`); it starts at the first job
+launch, and each job child forks from it warm instead of spawning and
+re-importing.  The service itself is never forked: a fork of the asyncio
+process would inherit its signal wakeup fd and listening socket.
 
 Robustness model (DESIGN.md §10 has the full state machine):
 
@@ -76,6 +81,11 @@ from repro.serve.pool import SharedPool
 from repro.serve.queue import FairQueue, TenantQuota
 from repro.serve.recovery import recover_state
 from repro.sim.supervisor import SweepJournal, result_from_json
+
+#: Modules the job forkserver imports once, so job children fork with
+#: them loaded: ``job_process_main`` and everything ``_run_spec`` reaches.
+JOB_PRELOAD = ("repro.serve.jobs", "repro.sim.supervisor",
+               "repro.sim.experiment", "repro.sim.engine", "repro.sim.batch")
 
 #: Written next to the state dir's jobs/ once the socket is bound, so
 #: clients (and tests) can discover the actual port of a ``--port 0`` bind.
@@ -183,14 +193,17 @@ class _HttpError(Exception):
 
 
 def _kill_job_tree(process) -> None:
-    """SIGKILL a job process *and* any workers it spawned.
+    """SIGKILL a process *and* every descendant it started.
 
-    A job child runs its sweep through a process pool, so killing only
-    the child would orphan its workers — and an idle pool worker blocks
-    in its call-queue read forever (it holds its own write end of that
-    pipe, so EOF never comes).  Descendants are discovered via ``/proc``;
-    the walk is racy by nature and every miss dies with its process
-    group at service shutdown anyway.
+    A job child runs its sweep through a pool of workers it forked, so
+    killing only the child would orphan them — and an idle pool worker
+    blocks in its call-queue read forever (it holds its own write end of
+    that pipe, so EOF never comes).  The forked workers also carry a
+    parent-death SIGKILL, but that covers only the child's direct
+    children.  Descendants are discovered via ``/proc``; the walk is racy
+    by nature and every miss dies with its process group at service
+    shutdown anyway.  A job child is the forkserver's child, not the
+    service's, so the walk starts from the job itself.
     """
     children: Dict[int, List[int]] = {}
     try:
@@ -398,7 +411,10 @@ class SimulationService:
         self._dispatch_counter = 0
         self._drained_interrupted = False
         self._drain_started: Optional[float] = None
-        self._mp = multiprocessing.get_context("spawn")
+        # Job children fork from a preloaded forkserver (see the module
+        # docstring); it starts lazily at the first Process.start().
+        self._mp = multiprocessing.get_context("forkserver")
+        self._mp.set_forkserver_preload(list(JOB_PRELOAD))
         self._server: Optional[asyncio.AbstractServer] = None
         self._scheduler_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
@@ -1093,6 +1109,7 @@ def run_service(config: ServiceConfig) -> int:
 
 
 __all__ = [
+    "JOB_PRELOAD",
     "SERVE_INFO_FILE",
     "ServiceConfig",
     "SimulationService",

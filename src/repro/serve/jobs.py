@@ -289,7 +289,7 @@ class Job:
     quarantined_runs: int = 0
     lease: Optional[Dict[str, Any]] = None
     """The pool lease view of this job (owner/fence/ages), when it runs
-    under ``repro worker`` rather than a service-spawned child."""
+    under ``repro worker`` rather than a service-launched child."""
 
     process: Any = field(default=None, repr=False)
 
@@ -342,7 +342,7 @@ def spec_record(job: Job) -> Dict[str, Any]:
 
 def job_process_main(payload: Dict[str, Any], job_dir: str,
                      resume: bool) -> None:
-    """Entry point of the spawned per-job process.
+    """Entry point of the per-job child process.
 
     Runs the sweep under the full supervision ladder with the job's
     journal; the exit code is the contract with the service parent:

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -720,7 +721,11 @@ def _bind_worker_to_parent() -> None:
         PR_SET_PDEATHSIG = 1
         libc.prctl(PR_SET_PDEATHSIG, int(signal.SIGKILL))
         # The parent may have died between fork and prctl: check, and go.
-        if os.getppid() == 1:
+        # Compare against the pid that forked us, not 1 — under a child
+        # subreaper (tini, systemd, PR_SET_CHILD_SUBREAPER) an orphan is
+        # reparented to the subreaper instead of init.
+        parent = multiprocessing.parent_process()
+        if parent is not None and os.getppid() != parent.pid:
             os.kill(os.getpid(), signal.SIGKILL)
     except Exception:
         pass  # non-Linux / restricted libc: keep the old behaviour
@@ -914,8 +919,13 @@ def run_supervised(
                     if index is None:
                         break
                     if pool is None:
+                        # Always fork: workers start warm from this
+                        # process, whatever the caller's default start
+                        # method (a spawned or forkserver child inherits
+                        # its own, and would re-import the simulator).
                         pool = ProcessPoolExecutor(
                             max_workers=jobs,
+                            mp_context=multiprocessing.get_context("fork"),
                             initializer=_bind_worker_to_parent)
                     future = pool.submit(run, specs[index])
                     deadline = (now + policy.run_timeout

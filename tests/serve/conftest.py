@@ -2,8 +2,8 @@
 
 The service under test always runs as a real subprocess in its own session
 (``start_new_session=True``) so chaos tests can SIGKILL the whole process
-group — service *and* its spawned job processes — exactly like a machine
-loss, without orphaning workers into the test run.
+group — service, its job forkserver *and* the job processes — exactly like
+a machine loss, without orphaning workers into the test run.
 """
 
 import os
@@ -88,3 +88,56 @@ def kill_group(proc):
     except ProcessLookupError:
         pass
     proc.wait()
+
+
+def process_table():
+    """``{pid: (ppid, state, cmdline)}`` for every process in ``/proc``."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read().replace(b"\0", b" ").decode(
+                    "utf-8", "replace")
+        except OSError:
+            continue  # raced with an exit
+        # comm (field 2) may contain spaces: split after its closing paren.
+        state, ppid = stat[stat.rindex(b")") + 2:].split()[:2]
+        table[int(entry)] = (int(ppid), state.decode(), cmdline)
+    return table
+
+
+def descendants(pid, table=None):
+    """``{pid: ppid}`` of every live descendant of ``pid``."""
+    table = process_table() if table is None else table
+    found, frontier = {}, [pid]
+    while frontier:
+        parent = frontier.pop()
+        for child, (ppid, _state, _cmd) in table.items():
+            if ppid == parent and child not in found:
+                found[child] = ppid
+                frontier.append(child)
+    return found
+
+
+def alive(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            stat = fh.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(b")") + 2:].split()[0] != b"Z"
+
+
+def wait_gone(pids, timeout=5.0):
+    """Wait up to ``timeout`` for every pid to exit; returns the survivors."""
+    deadline = time.monotonic() + timeout
+    left = [pid for pid in pids if alive(pid)]
+    while left and time.monotonic() < deadline:
+        time.sleep(0.05)
+        left = [pid for pid in left if alive(pid)]
+    return left

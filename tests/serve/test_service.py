@@ -22,10 +22,13 @@ from repro.config import preset
 from repro.resilience.errors import SweepInterrupted
 
 from tests.serve.conftest import (
+    descendants,
     drain,
     kill_group,
+    process_table,
     start_service,
     wait_for_journal_run,
+    wait_gone,
 )
 
 FAST_JOB = dict(workload="MIX 01", scheme="morphcache", preset="tiny",
@@ -34,6 +37,31 @@ FAST_JOB = dict(workload="MIX 01", scheme="morphcache", preset="tiny",
 SLOW_JOB = dict(workload="MIX 01",
                 schemes=["morphcache", "pipp", "dsr", "ucp"],
                 preset="tiny", epochs=3, seed=5, trace=False)
+#: One run far longer than any watchdog cap used below (~1 s per epoch).
+LONG_JOB = dict(workload="MIX 01", scheme="morphcache", preset="small",
+                epochs=40, seed=5, trace=False)
+TERMINAL = ("done", "partial", "failed")
+
+
+def wait_for_job_tree(service_pid, timeout=60.0):
+    """Pids of the running job child and the sweep worker(s) it forked.
+
+    Job children are the forkserver's children, not the service's; the
+    tree is returned once the job child has forked its first worker.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        table = process_table()
+        tree = descendants(service_pid, table)
+        servers = [pid for pid in tree if "forkserver" in table[pid][2]]
+        for server in servers:
+            for job in (pid for pid, ppid in tree.items() if ppid == server):
+                workers = descendants(job, table)
+                if workers:
+                    return [job, *workers]
+        time.sleep(0.01)
+    raise AssertionError(f"no job child with a sweep worker within "
+                         f"{timeout:g}s")
 
 
 @pytest.fixture(scope="module")
@@ -210,8 +238,45 @@ class TestWatchdogAndDrain:
             assert status["state"] == "failed"
             assert status["error"]["type"] == "JobTimeoutError"
             assert "watchdog" in status["error"]["message"]
+
+            # The kill takes the job's whole tree: the job child *and*
+            # the sweep worker it forked, which would otherwise block on
+            # its call-queue pipe forever as an orphan.
+            overdue = client.submit(tenant="alice", max_seconds=3.0,
+                                    **LONG_JOB)
+            tree = wait_for_job_tree(proc.pid)
+            status = client.wait_for_state(overdue["job"]["id"], TERMINAL,
+                                           timeout=120)
+            assert status["error"]["type"] == "JobTimeoutError"
+            assert wait_gone(tree) == []
             # Idle again after the kill: a clean drain exits 0.
             assert drain(proc) == 0
+        finally:
+            kill_group(proc)
+
+    def test_drain_after_jobs_leaves_no_process_behind(self, tmp_path):
+        proc, client = start_service(tmp_path)
+        try:
+            ids = [client.submit(tenant="alice",
+                                 **dict(FAST_JOB, seed=seed))["job"]["id"]
+                   for seed in (1, 2)]
+            started = {}  # every process the service started, transient too
+            deadline = time.monotonic() + 120
+            while not all(client.job(job_id)["state"] in TERMINAL
+                          for job_id in ids):
+                assert time.monotonic() < deadline, "jobs never finished"
+                started.update(descendants(proc.pid))
+                time.sleep(0.01)
+            table = process_table()
+            started.update(descendants(proc.pid, table))
+            assert any("forkserver" in table[pid][2]
+                       for pid in started if pid in table)
+            assert [client.job(job_id)["state"] for job_id in ids] \
+                == ["done", "done"]
+            assert drain(proc) == 0
+            # The forkserver and multiprocessing's resource tracker exit
+            # when the service's end of their pipes closes.
+            assert wait_gone(started, timeout=5.0) == []
         finally:
             kill_group(proc)
 

@@ -13,6 +13,7 @@ in-flight runs and exits with the ``SweepInterrupted`` code.
 """
 
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -89,6 +90,26 @@ def _scripted_worker(spec):
 
 def _forbidden_worker(spec):
     raise AssertionError(f"worker must not run for {spec.scheme}")
+
+
+#: Set at runtime by the supervising process; only a *forked* worker
+#: inherits the new value (a spawned one re-imports this module).
+_RUNTIME_MARK = "import-time"
+
+
+def _fork_origin_worker(spec):
+    return multiprocessing.parent_process().pid, _RUNTIME_MARK
+
+
+def _supervise_under_spawn(conn):
+    global _RUNTIME_MARK
+    _RUNTIME_MARK = "set-at-runtime"
+    report = run_supervised(_specs(["a", "b"]), jobs=2,
+                            policy=SweepPolicy(**FAST),
+                            worker=_fork_origin_worker)
+    conn.send((os.getpid(), multiprocessing.get_start_method(),
+               report.results))
+    conn.close()
 
 
 # -- the ladder -------------------------------------------------------------
@@ -536,6 +557,60 @@ def test_sigkill_leaves_no_orphaned_pool_children(tmp_path):
         except (ProcessLookupError, PermissionError):
             pass
         process.wait()
+
+
+def test_workers_fork_even_when_the_caller_defaults_to_spawn():
+    # A spawned (or forkserver) child inherits its start method as the
+    # default; the supervisor must still fork its workers from the warm
+    # supervising process instead of re-spawning the interpreter.
+    ctx = multiprocessing.get_context("spawn")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_supervise_under_spawn, args=(writer,))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(120), "spawned supervisor never reported"
+        pid, method, results = reader.recv()
+    finally:
+        reader.close()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert method == "spawn"
+    assert results == [(pid, "set-at-runtime")] * 2
+    assert child.exitcode == 0
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+    def prctl(self, *args):
+        self.calls.append(args)
+        return 0
+
+
+@pytest.mark.parametrize("ppid, killed", [(4242, False), (777, True)])
+def test_bind_worker_detects_a_parent_lost_before_prctl(monkeypatch, ppid,
+                                                        killed):
+    # The parent (pid 4242) may die between fork and prctl.  Under a
+    # child subreaper the orphan's new ppid is the subreaper's (777 here),
+    # not 1, so only a comparison with the forking parent's pid sees it.
+    import ctypes
+
+    from repro.sim import supervisor
+
+    libc = _FakeLibc()
+    kills = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: libc)
+    monkeypatch.setattr(multiprocessing, "parent_process",
+                        lambda: type("Parent", (), {"pid": 4242})())
+    monkeypatch.setattr(os, "getppid", lambda: ppid)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig)))
+    supervisor._bind_worker_to_parent()
+    assert libc.calls == [(1, int(signal.SIGKILL))]
+    assert kills == ([(os.getpid(), signal.SIGKILL)] if killed else [])
 
 
 # -- journal fencing (worker-pool integration) -------------------------------

@@ -9,7 +9,9 @@ Commands:
   [--engine {event,batch}] [--faults SPEC] [--trace PATH] [--metrics PATH]
   [--checkpoint PATH [--checkpoint-every N] [--resume]]`` —
   simulate one scheme on one workload (``MIX 01``.. / a PARSEC name / an
-  ``alone:<spec>`` benchmark) and print per-epoch results.  ``--trace``
+  ``alone:<spec>`` benchmark) and print per-epoch results.  ``--engine``
+  picks the epoch engine: the set-partitioned ``batch`` engine (default)
+  or the per-access ``event`` reference it is bit-identical to.  ``--trace``
   records a structured JSONL trace of the run (render it with ``repro
   trace``); ``--metrics`` enables the metrics registry for the run and
   writes the Prometheus text exposition (or a JSON dump when the path ends
@@ -23,7 +25,8 @@ Commands:
   [--run-timeout S] [--retries N] [--sweep-journal PATH [--resume-sweep]]``
   — run the Figure 13
   scheme set on one workload (optionally across N worker processes; the
-  results are identical at any job count) and print normalised throughput.
+  results are identical at any job count, and on either engine — batch by
+  default) and print normalised throughput.
   The supervision flags run the sweep under
   :func:`repro.sim.supervisor.run_supervised`: hung runs are killed after
   ``--run-timeout`` seconds, failures retry up to ``--retries`` times
@@ -83,6 +86,7 @@ from repro.interconnect.timing import ArbiterTimingModel
 from repro.obs import REGISTRY
 from repro.render import render_series
 from repro.resilience import ConfigError, ReproError, parse_fault_spec
+from repro.sim.engine import DEFAULT_ENGINE, ENGINES
 from repro.sim.experiment import run_scheme
 from repro.sim.parallel import RunSpec, resolve_jobs, run_many
 from repro.sim.supervisor import SweepPolicy, run_supervised
@@ -375,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from --checkpoint PATH (verified bit-identical replay)")
     run_parser.add_argument(
-        "--engine", choices=("event", "batch"), default="event",
-        help="epoch engine: per-access event loop (default) or the "
-             "set-partitioned batch engine (bit-identical, faster)")
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+        help="epoch engine: the set-partitioned batch engine (default) or "
+             "the per-access event loop it is bit-identical to (the "
+             "reference)")
     run_parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a structured JSONL trace of the run to PATH (render "
@@ -403,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the scheme sweep (default: $REPRO_JOBS "
              "or 1); results are identical at any job count")
     compare_parser.add_argument(
-        "--engine", choices=("event", "batch"), default="event",
-        help="epoch engine for every run of the sweep (bit-identical)")
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+        help="epoch engine for every run of the sweep: batch (default) or "
+             "the event reference (bit-identical)")
     compare_parser.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="fault-injection spec applied to every run of the sweep "

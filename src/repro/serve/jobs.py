@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import preset
 from repro.resilience.errors import ConfigError, ReproError, SweepInterrupted
+from repro.sim.engine import DEFAULT_ENGINE, ENGINES
 
 #: Files of the per-job directory (the durable contract with recovery).
 SPEC_FILE = "spec.json"
@@ -121,7 +122,7 @@ class JobSpec:
     preset: str = "tiny"
     epochs: Optional[int] = None
     seed: int = 1
-    engine: str = "event"
+    engine: str = DEFAULT_ENGINE
     jobs: int = 1
     """Worker processes *inside* the sweep (the supervisor's pool)."""
 
@@ -187,8 +188,8 @@ class JobSpec:
         seed = payload.get("seed", 1)
         if not isinstance(seed, int):
             raise ConfigError("seed", f"must be an integer, got {seed!r}")
-        engine = payload.get("engine", "event")
-        if engine not in ("event", "batch"):
+        engine = payload.get("engine", DEFAULT_ENGINE)
+        if engine not in ENGINES:
             raise ConfigError("engine", f"must be 'event' or 'batch', got {engine!r}")
         jobs = payload.get("jobs", 1)
         if not isinstance(jobs, int) or jobs < 1:

@@ -44,6 +44,11 @@ from repro.sim.workload import Workload
 #: a run may switch engines across a resume.
 ENGINES = ("event", "batch")
 
+#: The engine every entry point uses unless told otherwise: runs, sweeps
+#: (:class:`~repro.sim.parallel.RunSpec`) and service jobs.  ``"event"``
+#: stays the per-access reference the batch engine is checked against.
+DEFAULT_ENGINE = "batch"
+
 
 @dataclass(frozen=True)
 class EpochResult:
@@ -133,7 +138,7 @@ def simulate(
     checkpoint_path=None,
     checkpoint_every: int = 5,
     resume: bool = False,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     tracer=None,
 ) -> RunResult:
     """Run ``workload`` on ``system`` for the configured number of epochs.
@@ -155,11 +160,13 @@ def simulate(
             continuing.  Raises :class:`~repro.resilience.errors.
             CheckpointError` if the checkpoint is absent, corrupt, belongs
             to a different run, or the replay diverges.
-        engine: ``"event"`` (default) drives accesses one at a time through
-            :func:`run_epoch`; ``"batch"`` resolves each epoch with the
-            set-partitioned array engine (:mod:`repro.sim.batch`), which is
-            bit-identical and falls back to the event engine for systems it
-            cannot batch.  Checkpoints are engine-agnostic.
+        engine: ``"batch"`` (default, :data:`DEFAULT_ENGINE`) resolves each
+            epoch with the set-partitioned array engine
+            (:mod:`repro.sim.batch`), which falls back to the event engine
+            for systems it cannot batch; ``"event"`` drives accesses one at
+            a time through :func:`run_epoch` and is the reference the batch
+            engine is tested bit-identical against.  Checkpoints are
+            engine-agnostic.
         tracer: optional :class:`~repro.obs.trace.TraceRecorder`.  All trace
             emission happens at epoch boundaries in this shared loop (plus
             the controller's in-boundary reconfig hook), so both engines

@@ -22,7 +22,7 @@ from repro.config import MachineConfig, MorphConfig
 from repro.cpu.cmp import CmpSystem
 from repro.obs.trace import TraceRecorder
 from repro.resilience.faults import FaultPlan
-from repro.sim.engine import RunResult, simulate
+from repro.sim.engine import DEFAULT_ENGINE, RunResult, simulate
 from repro.sim.workload import Workload
 
 MORPHCACHE = "morphcache"
@@ -75,7 +75,7 @@ def run_scheme(
     checkpoint_path=None,
     checkpoint_every: int = 5,
     resume: bool = False,
-    engine: str = "event",
+    engine: str = DEFAULT_ENGINE,
     trace_path=None,
     tracer=None,
 ) -> RunResult:

@@ -731,20 +731,29 @@ def _bind_worker_to_parent() -> None:
         pass  # non-Linux / restricted libc: keep the old behaviour
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
+def _pool_internals(pool: ProcessPoolExecutor):
+    """The pool's worker processes and manager thread, read *before*
+    ``shutdown`` (which drops both references).  The attributes are
+    private but stable across CPython 3.8–3.13."""
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    return processes, getattr(pool, "_executor_manager_thread", None)
+
+
+def _kill_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
     """Forcibly replace a pool whose worker(s) hung: kill, then discard.
 
     ``shutdown`` alone would block behind the hung task forever;
     ``Process.kill`` is the only lever that actually reclaims the worker.
-    (``_processes`` is private but stable across CPython 3.8–3.13.)
     """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
+    processes, manager = _pool_internals(pool)
     for process in processes:
         try:
             process.kill()
         except OSError:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+    if manager is not None:  # see _retire_pool
+        manager.join(grace)
 
 
 def _retire_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
@@ -759,8 +768,15 @@ def _retire_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
     stragglers: by the time we are here every result we care about has
     already travelled back through its future (or been cancelled), so an
     idle worker holds nothing worth draining.
+
+    Finally wait, within the same grace, for the executor's manager
+    thread.  ``shutdown(wait=False)`` returns while that thread is still
+    closing its wakeup pipe, and CPython's interpreter-exit hook writes to
+    every live manager's wakeup pipe without the executor's lock: a
+    process exiting inside that window dies with ``OSError: [Errno 9] Bad
+    file descriptor`` and exits 1 although its sweep completed.
     """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
+    processes, manager = _pool_internals(pool)
     pool.shutdown(wait=False, cancel_futures=True)
     deadline = time.monotonic() + grace
     for process in processes:
@@ -771,6 +787,8 @@ def _retire_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
                 process.kill()
             except OSError:
                 pass
+    if manager is not None:
+        manager.join(max(deadline - time.monotonic(), 0.0))
 
 
 def run_supervised(

@@ -212,7 +212,7 @@ def test_instrumented_run_populates_expected_metrics():
         REGISTRY.disable()
         text = REGISTRY.expose_text()
         REGISTRY.reset()
-    assert 'repro_sim_runs_total{engine="event"} 1' in text
+    assert 'repro_sim_runs_total{engine="batch"} 1' in text  # the default
     assert "repro_sim_epochs_total 4" in text  # 3 measured + 1 warmup
     assert "repro_topology_changes_total" in text
-    assert "repro_batch_epochs_total" not in text  # event engine run
+    assert "repro_batch_epochs_total" in text

@@ -141,7 +141,8 @@ def _run_and_kill_after(workload, path, kill_at_epoch, scheme="morphcache",
 class TestBitIdenticalResume:
     @pytest.mark.parametrize("scheme", ["morphcache", "(16:1:1)"])
     def test_killed_run_resumes_identically(self, tmp_path, workload, scheme):
-        reference = run_scheme(scheme, workload, CFG, seed=5, epochs=6)
+        reference = run_scheme(scheme, workload, CFG, seed=5, epochs=6,
+                               engine="event")
         path = tmp_path / "ck.json"
         _run_and_kill_after(workload, path, kill_at_epoch=4, scheme=scheme)
         resumed = run_scheme(scheme, workload, CFG, seed=5, epochs=6,
@@ -152,7 +153,7 @@ class TestBitIdenticalResume:
         plan = FaultPlan.periodic("disable-slice", every=3, level="l3",
                                   duration=1, seed=17)
         reference = run_scheme("morphcache", workload, CFG, seed=5, epochs=6,
-                               fault_plan=plan)
+                               fault_plan=plan, engine="event")
         path = tmp_path / "ck.json"
         _run_and_kill_after(workload, path, kill_at_epoch=4, fault_plan=plan)
         resumed = run_scheme("morphcache", workload, CFG, seed=5, epochs=6,
@@ -161,7 +162,8 @@ class TestBitIdenticalResume:
         assert series(resumed) == series(reference)
 
     def test_checkpointing_does_not_perturb_results(self, tmp_path, workload):
-        plain = run_scheme("morphcache", workload, CFG, seed=5, epochs=4)
+        plain = run_scheme("morphcache", workload, CFG, seed=5, epochs=4,
+                           engine="event")
         checked = run_scheme("morphcache", workload, CFG, seed=5, epochs=4,
                              checkpoint_path=tmp_path / "ck.json",
                              checkpoint_every=1)

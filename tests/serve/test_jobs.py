@@ -28,7 +28,7 @@ class TestValidation:
         assert spec.tenant == "alice"
         assert spec.schemes == ("morphcache",)
         assert spec.preset == "tiny"
-        assert spec.seed == 1 and spec.engine == "event"
+        assert spec.seed == 1 and spec.engine == "batch"
 
     def test_not_an_object(self):
         with pytest.raises(ConfigError):
@@ -79,7 +79,7 @@ class TestValidation:
 class TestRoundTrip:
     def test_payload_round_trips(self):
         spec = _spec(schemes=["morphcache", "pipp"], epochs=5, seed=9,
-                     engine="batch", jobs=2, run_timeout=1.5, retries=2,
+                     engine="event", jobs=2, run_timeout=1.5, retries=2,
                      max_seconds=60.0, trace=False)
         assert JobSpec.from_payload(spec.payload()) == spec
 
@@ -92,6 +92,11 @@ class TestRoundTrip:
         # specs in a (possibly different) job dir and must match the
         # crashed run's journal.
         assert spec.journal_keys(tmp_path) == spec.journal_keys(None)
+
+    def test_runs_default_to_the_batch_engine(self, tmp_path):
+        assert [s.engine for s in _spec().to_runspecs(tmp_path)] == ["batch"]
+        event = _spec(engine="event").to_runspecs(tmp_path)
+        assert [s.engine for s in event] == ["event"]
 
     def test_trace_off_means_no_trace_paths(self, tmp_path):
         specs = _spec(trace=False).to_runspecs(tmp_path)

@@ -269,12 +269,13 @@ def test_pool_smoke_two_workers_match_serial(tmp_path):
         assert proc.returncode == 0, f"worker failed: {err}"
     assert pool.all_terminal()
 
-    # Serial references, one per distinct seed.
+    # Serial event-engine references, one per distinct seed (the pool ran
+    # the default batch engine).
     machine = preset("tiny")
     workload = Workload.from_name("MIX 01")
     reference = {
         seed: run_scheme("morphcache", workload, machine, seed=seed,
-                         epochs=2)
+                         epochs=2, engine="event")
         for seed in sorted(set(seeds))
     }
 

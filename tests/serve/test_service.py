@@ -106,11 +106,17 @@ class TestJobs:
         run = result["runs"][0]
         assert run["scheme"] == "morphcache"
         # The service's answer is bit-identical to calling the library:
-        # same spec -> same JSON, floats round-tripped exactly.
+        # same spec -> same JSON, floats round-tripped exactly.  The job
+        # ran the default batch engine; the reference is the event engine.
         reference = run_scheme("morphcache", Workload.from_name("MIX 01"),
-                               preset("tiny"), seed=3, epochs=2)
+                               preset("tiny"), seed=3, epochs=2,
+                               engine="event")
         assert run["result"] == result_to_json(reference)
         assert run["mean_throughput"] == reference.mean_throughput
+
+        record = json.loads(
+            (svc.state / "jobs" / job_id / "spec.json").read_text())
+        assert record["spec"]["engine"] == "batch"
 
     def test_unknown_job_is_typed_404(self, svc):
         with pytest.raises(ServiceHTTPError) as excinfo:

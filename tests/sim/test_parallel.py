@@ -16,9 +16,10 @@ from repro.sim.workload import Workload
 from repro.workloads import MIXES
 
 
-def _specs():
+def _specs(**fields):
     workload = Workload.from_mix(MIXES[0])
-    return [RunSpec(scheme=scheme, workload=workload, config=TINY, seed=11)
+    return [RunSpec(scheme=scheme, workload=workload, config=TINY, seed=11,
+                    **fields)
             for scheme in ["(16:1:1)", "(1:1:16)", "(4:4:1)", "morphcache"]]
 
 
@@ -90,13 +91,13 @@ def test_prime_alone_ipcs_matches_serial_cache(monkeypatch):
         assert experiment.alone_ipc(name, TINY, seed=3, epochs=2) == ipc
 
 
+def test_runspec_defaults_to_the_batch_engine():
+    assert [s.engine for s in _specs()] == ["batch"] * 4
+
+
 def test_batch_engine_specs_match_event(monkeypatch):
-    event_specs = _specs()
-    batch_specs = [RunSpec(scheme=s.scheme, workload=s.workload,
-                           config=s.config, seed=s.seed, engine="batch")
-                   for s in event_specs]
-    event = run_many(event_specs, jobs=1)
-    batch = run_many(batch_specs, jobs=2)
+    event = run_many(_specs(engine="event"), jobs=1)
+    batch = run_many(_specs(), jobs=2)
     for a, b in zip(event, batch):
         assert [e.misses for e in a.epochs] == [e.misses for e in b.epochs]
         assert [{c: repr(v) for c, v in e.ipcs.items()} for e in a.epochs] \

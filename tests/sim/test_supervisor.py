@@ -396,7 +396,7 @@ def test_spec_key_distinguishes_every_field():
             RunSpec(scheme="morphcache", workload=_workload(), config=TINY,
                     seed=1, epochs=5),
             RunSpec(scheme="morphcache", workload=_workload(), config=TINY,
-                    seed=1, engine="batch"),
+                    seed=1, engine="event"),
     ):
         assert spec_key(other) != spec_key(base)
 
@@ -580,6 +580,31 @@ def test_workers_fork_even_when_the_caller_defaults_to_spawn():
     assert method == "spawn"
     assert results == [(pid, "set-at-runtime")] * 2
     assert child.exitcode == 0
+
+
+def test_retired_pools_leave_no_manager_thread_for_the_exit_hook():
+    # CPython's interpreter-exit hook writes to the wakeup pipe of every
+    # live executor manager thread without taking the executor's lock.  A
+    # job process exiting while a retired pool's manager is still closing
+    # that pipe dies with EBADF and exits 1 after a complete sweep, so
+    # run_supervised must not return before the manager has finished.
+    from concurrent.futures import process as futures_process
+
+    before = set(futures_process._threads_wakeups)
+    alive, still_open = [], []
+    for call in range(20):
+        report = run_supervised(_specs(["a", "b"]), jobs=2,
+                                policy=SweepPolicy(**FAST),
+                                worker=_scripted_worker)
+        assert report.ok
+        for thread, wakeup in list(futures_process._threads_wakeups.items()):
+            if thread in before:
+                continue
+            if thread.is_alive():
+                alive.append(call)
+            if not wakeup._closed:
+                still_open.append(call)
+    assert alive == [] and still_open == []
 
 
 class _FakeLibc:

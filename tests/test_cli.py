@@ -99,7 +99,8 @@ class TestCommands:
         assert "metrics written" in capsys.readouterr().out
         text = text_path.read_text()
         assert "# TYPE repro_sim_runs_total counter" in text
-        assert 'repro_sim_runs_total{engine="event"} 1' in text
+        assert 'repro_sim_runs_total{engine="batch"} 1' in text
+        assert "repro_batch_epochs_total" in text  # batch is the default
 
         json_path = tmp_path / "metrics.json"
         assert main(["run", "--workload", "MIX 01", "--preset", "tiny",
@@ -108,6 +109,16 @@ class TestCommands:
         import json as json_module
         dump = json_module.loads(json_path.read_text())
         assert dump["repro_sim_runs_total"]["type"] == "counter"
+
+    def test_run_engine_event_selects_the_reference(self, tmp_path, capsys):
+        path = tmp_path / "metrics.prom"
+        assert main(["run", "--workload", "MIX 01", "--preset", "tiny",
+                     "--epochs", "1", "--engine", "event",
+                     "--metrics", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        assert 'repro_sim_runs_total{engine="event"} 1' in text
+        assert "repro_batch_epochs_total" not in text
 
     def test_metrics_registry_disabled_after_run(self, tmp_path, capsys):
         from repro.obs import REGISTRY

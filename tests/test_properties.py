@@ -186,7 +186,7 @@ def test_resume_reproduces_exact_epoch_series(tmp_path_factory, seed, epochs):
     workload = Workload.from_mix(mix_by_name("MIX 06"))
     path = tmp_path_factory.mktemp("ck") / "ck.json"
     reference = run_scheme("morphcache", workload, config, seed=seed,
-                           epochs=epochs)
+                           epochs=epochs, engine="event")
     run_scheme("morphcache", workload, config, seed=seed, epochs=epochs,
                checkpoint_path=path, checkpoint_every=2)
     resumed = run_scheme("morphcache", workload, config, seed=seed,

@@ -8,7 +8,8 @@ exercise the batch engine's dispatch tiers:
   epoch;
 - ``merged`` ``(4:4:1)`` — multi-slice search groups on the slice-group
   kernel (``batch-merged``): aggregate per-group residency maps instead of
-  per-access probes of every slice;
+  per-access probes of every slice, and a per-set recency index that
+  yields the group-wide LRU victim in O(1) instead of a scan per fill;
 - ``shared`` ``(16:1:1)`` — one machine-wide search group, the same kernel
   under its ``batch-shared`` tag.
 

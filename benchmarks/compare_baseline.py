@@ -6,8 +6,8 @@ Usage::
         [--threshold FRACTION] [--gate PATH ...]
 
 Walks both JSON trees and compares every shared numeric leaf that is a
-throughput measurement (anything except metadata keys).  When a fresh
-number falls more than the threshold (default ``THRESHOLD``) below the
+throughput measurement (no segment of its path is a metadata key).  When a
+fresh number falls more than the threshold (default ``THRESHOLD``) below the
 committed baseline it emits a GitHub Actions ``::warning::`` annotation so
 the regression is visible on the PR without gating it — shared runners are
 too noisy for a hard fail on raw throughput.
@@ -35,7 +35,8 @@ import sys
 #: Fractional drop below baseline that trips a warning annotation.
 THRESHOLD = 0.20
 
-#: Top-level keys that describe the measurement rather than report one.
+#: Keys that describe the measurement rather than report one, at any depth
+#: (``scaled64.passes`` is as much metadata as a top-level ``passes``).
 #: ``overhead_fraction`` is derived and lower-is-better, so the
 #: higher-is-better throughput comparison below must not touch it.
 METADATA_KEYS = {"config", "workload", "seed", "epochs_timed", "passes",
@@ -56,7 +57,7 @@ def compare(baseline: dict, fresh: dict, label: str,
     fresh_map = dict(_leaves(fresh))
     regressions = []
     for path, base_value in _leaves(baseline):
-        if path.split(".", 1)[0] in METADATA_KEYS or base_value <= 0:
+        if METADATA_KEYS.intersection(path.split(".")) or base_value <= 0:
             continue
         got = fresh_map.get(path)
         if got is not None and got < base_value * (1.0 - threshold):

@@ -64,7 +64,9 @@ Kernels:
   by one aggregate ``line -> slice`` residency map per multi-slice group
   (:meth:`CacheHierarchy.group_line_index`), built by a single scan,
   cached across epochs and maintained incrementally by the kernel's own
-  fills/evictions/back-invalidations/lazy invalidations.  The ``shared``
+  fills/evictions/back-invalidations/lazy invalidations.  A per-set
+  recency index beside it (:func:`_recency_index`) makes fill placement
+  O(1): a full group set's LRU victim is its first key.  The ``shared``
   tag is the fully-shared special case (one L2 group spanning the
   machine); mechanically the same kernel.
 - **general** — anything else (PLRU, order-sensitive observers,
@@ -909,7 +911,10 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
 # duplicate copies a merge leaves behind).  A group probe then becomes one
 # dict lookup instead of O(group size) slice probes, and every mutation the
 # kernel performs — fills, evictions, inclusion back-invalidations, lazy
-# invalidations — updates the map incrementally, so it stays exact.  The
+# invalidations — updates the map incrementally, so it stays exact.  Fills
+# get the same treatment from a per-set recency index (entries in stamp
+# order, see :func:`_recency_index`): the group-wide LRU victim is its
+# first key, where the event path scans every slice of the group.  The
 # maps are cached on the hierarchy across epochs under the same fingerprint
 # the per-core kernel uses (stamp + groups + fault sets): steady-state
 # epochs pay no scan at all.
@@ -929,10 +934,12 @@ _GROUP_ATTR = "_batch_group_state"
 
 
 def _group_state(hier: CacheHierarchy) -> dict:
-    """Cached aggregate residency maps for every multi-slice group.
+    """Cached residency maps and recency indexes for every multi-slice group.
 
-    Rebuilt (one scan of the resident state via
-    :meth:`CacheHierarchy.group_line_index`) whenever the fingerprint shows
+    ``state["maps"][(level, group)]`` is ``(index, dups, recency)``: the
+    aggregate residency maps of :meth:`CacheHierarchy.group_line_index`
+    plus the group's per-set *recency index* (:func:`_recency_index`).
+    Rebuilt (one scan of the resident state) whenever the fingerprint shows
     state moved outside this kernel: any access through any engine advances
     the stamp, and reconfiguration/fault repair changes the group tuples or
     disabled sets.  Mutating slice contents behind the hierarchy's back
@@ -941,13 +948,37 @@ def _group_state(hier: CacheHierarchy) -> dict:
     state = getattr(hier, _GROUP_ATTR, None)
     if state is None or state["marker"] != _percore_marker(hier):
         maps = {}
-        for level, groups in ((L2, hier._l2_groups), (L3, hier._l3_groups)):
+        for level, groups, slices in ((L2, hier._l2_groups, hier.l2s),
+                                      (L3, hier._l3_groups, hier.l3s)):
             for group in groups:
                 if len(group) > 1:
-                    maps[(level, group)] = hier.group_line_index(level, group)
+                    index, dups = hier.group_line_index(level, group)
+                    maps[(level, group)] = (index, dups,
+                                            _recency_index(slices, group))
         state = {"marker": None, "maps": maps}
         setattr(hier, _GROUP_ATTR, state)
     return state
+
+
+def _recency_index(slices, group: Tuple[int, ...]) -> List[Dict[Entry, int]]:
+    """Per-set ``Entry -> slice_id`` dicts over a group, ascending stamp.
+
+    Set ``i``'s dict holds every entry the group's slices keep in set ``i``
+    (``Entry`` hashes by identity), oldest first — so its first key is the
+    group-wide LRU entry, the victim ``_fill_group`` picks as the
+    minimum-stamp slice head.  The kernel keeps the order by re-inserting
+    at the end whatever it stamps: stamps are unique and, within one set,
+    the kernel processes accesses in stamp order.
+    """
+    buckets = [(slice_id, slices[slice_id].set_buckets())
+               for slice_id in group]
+    recency = []
+    for set_index in range(len(buckets[0][1])):
+        held = [(entry, slice_id) for slice_id, sets in buckets
+                for entry in sets[set_index].values()]
+        held.sort(key=lambda it: it[0].stamp)
+        recency.append(dict(held))
+    return recency
 
 
 def _mark_group_clean(hier: CacheHierarchy) -> None:
@@ -985,8 +1016,10 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     the winning slice, duplicate copies replay lazy invalidation (freshest
     stamp wins, dirtiness folds into the winner), fills replay
     ``_fill_group`` placement (local slice if its set has room, else first
-    slice in search order with room, else the group-wide LRU victim) with
-    ``_back_invalidate`` inlined, and L1 handling replays ``_fill_l1`` —
+    slice in search order with room, else the group-wide LRU victim — read
+    in O(1) as the first key of the group's per-set recency index, see
+    :func:`_recency_index`) with ``_back_invalidate`` inlined, and L1
+    handling replays ``_fill_l1`` —
     including its first-in-search-order dirty write-back.  Per-core and
     per-slice integer counters flush once at the end, and timing flushes
     through one exact reduction per core (the dispatch gate verified
@@ -1042,6 +1075,19 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
           for c in range(n_cores)]
     d3 = [ord3[c][0] if (gi3[c] is None and ord3[c]) else -1
           for c in range(n_cores)]
+    # Entries a core's group set holds when every live slice's set is full.
+    full2 = [len(o) * w2 for o in ord2]
+    full3 = [len(o) * w3 for o in ord3]
+    # The L2 groups each L3 group covers (L2 groups refine L3 groups): a
+    # singleton as (slice, None), a multi-slice group as (-1, its maps), so
+    # an L3 eviction's back-invalidation asks one residency map where the
+    # victim's L2 copies are instead of probing every covered slice.
+    covers = {}
+    for group in hier._l3_groups:
+        members = set(group)
+        covers[group] = [(g[0], None) if len(g) == 1 else (-1, maps[(L2, g)])
+                         for g in hier._l2_groups if g[0] in members]
+    cover2 = [covers[g] for g in grp3]
 
     lat = config.latency
     lat_l1 = lat.l1_hit
@@ -1112,13 +1158,23 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             if victim.dirty:
                 # The write-back lands on the *first* copy in search order
                 # (same set, hence same partition) — not the freshest one;
-                # _fill_l1 probes in order and stops at the first hit.
-                v_set2 = v_line & m2
-                for s in ord2[core]:
-                    l2e = l2_idx[s][v_set2].get(v_line)
+                # _fill_l1 probes in order and stops at the first hit.  A
+                # multi-slice group's residency map names the holders, so
+                # only duplicates need the search order.
+                g = gi2[core]
+                if g is None:
+                    s = d2[core]
+                else:
+                    s = g[0].get(v_line, -2)
+                    if s == -1:
+                        holders = g[1][v_line]
+                        for s in ord2[core]:
+                            if s in holders:
+                                break
+                if s >= 0:
+                    l2e = l2_idx[s][v_line & m2].get(v_line)
                     if l2e is not None:
                         l2e.dirty = True
-                        break
             victim.line = line
             victim.owner = core
             victim.dirty = write
@@ -1135,27 +1191,31 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             holders.add(core)
 
     def fill_l2(core: int, line: int, write: bool, stamp: int):
-        # _fill_group at L2 with insert inlined and the residency map
-        # maintained; returns the slice filled, or None (group offline).
+        # _fill_group at L2 with insert inlined and the residency map and
+        # recency index maintained; returns the slice filled, or None
+        # (group offline).
         o = ord2[core]
         if not o:
             return None
         set2 = line & m2
-        target = -1
-        for s in o:
-            if len(l2_data[s][set2]) < w2:
-                target = s
-                break
-        if target < 0:
-            oldest = None
-            for s in o:
-                cand = next(iter(l2_idx[s][set2].values()))
-                if oldest is None or cand.stamp < oldest:
-                    oldest = cand.stamp
-                    target = s
+        g = gi2[core]
+        if g is None:
+            target = o[0]
+        else:
+            rec = g[2][set2]
+            if len(rec) == full2[core]:
+                # Group set full: the recency index's first key is the
+                # group-wide LRU victim, so skip the room scan.
+                for victim in rec:
+                    break
+                target = rec[victim]
+            else:
+                # Some live slice has room, so this scan always succeeds.
+                for target in o:
+                    if len(l2_data[target][set2]) < w2:
+                        break
         ways = l2_data[target][set2]
         bucket = l2_idx[target][set2]
-        g = gi2[target]
         if len(ways) >= w2:
             victim = next(iter(bucket.values()))
             v_line = victim.line
@@ -1170,9 +1230,11 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             ins2[target] += 1
             evi2[target] += 1
             if g is not None:
-                index, dups = g
+                index, dups, _ = g
                 _group_index_remove(index, dups, v_line, target)
                 index[line] = target
+                del rec[victim]
+                rec[victim] = target
             # _back_invalidate at L2: only the L1 holders must go.
             holders = directory.get(v_line)
             if holders:
@@ -1189,6 +1251,7 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             ins2[target] += 1
             if g is not None:
                 g[0][line] = target
+                rec[entry] = target
         return target
 
     def fill_l3(core: int, line: int, write: bool, stamp: int):
@@ -1198,21 +1261,24 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
         if not o:
             return None
         set3 = line & m3
-        target = -1
-        for s in o:
-            if len(l3_data[s][set3]) < w3:
-                target = s
-                break
-        if target < 0:
-            oldest = None
-            for s in o:
-                cand = next(iter(l3_idx[s][set3].values()))
-                if oldest is None or cand.stamp < oldest:
-                    oldest = cand.stamp
-                    target = s
+        g = gi3[core]
+        if g is None:
+            target = o[0]
+        else:
+            rec = g[2][set3]
+            if len(rec) == full3[core]:
+                # Group set full: the recency index's first key is the
+                # group-wide LRU victim, so skip the room scan.
+                for victim in rec:
+                    break
+                target = rec[victim]
+            else:
+                # Some live slice has room, so this scan always succeeds.
+                for target in o:
+                    if len(l3_data[target][set3]) < w3:
+                        break
         ways = l3_data[target][set3]
         bucket = l3_idx[target][set3]
-        g = gi3[target]
         if len(ways) >= w3:
             victim = next(iter(bucket.values()))
             v_line = victim.line
@@ -1227,18 +1293,29 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             ins3[target] += 1
             evi3[target] += 1
             if g is not None:
-                index, dups = g
+                index, dups, _ = g
                 _group_index_remove(index, dups, v_line, target)
                 index[line] = target
+                del rec[victim]
+                rec[victim] = target
             v_set2 = v_line & m2
-            for cov in grp3[target]:
-                ve = l2_idx[cov][v_set2].pop(v_line, None)
-                if ve is not None:
+            for cov, gcov in cover2[target]:
+                if gcov is None:
+                    ve = l2_idx[cov][v_set2].pop(v_line, None)
+                    if ve is not None:
+                        l2_data[cov][v_set2].remove(ve)
+                        evi2[cov] += 1
+                    continue
+                index, dups, recency = gcov
+                held = index.pop(v_line, -2)
+                if held == -2:
+                    continue
+                rec = recency[v_set2]
+                for cov in (dups.pop(v_line) if held == -1 else (held,)):
+                    ve = l2_idx[cov][v_set2].pop(v_line)
                     l2_data[cov][v_set2].remove(ve)
                     evi2[cov] += 1
-                    gcov = gi2[cov]
-                    if gcov is not None:
-                        _group_index_remove(gcov[0], gcov[1], v_line, cov)
+                    del rec[ve]
             holders = directory.get(v_line)
             if holders:
                 v_set1 = v_line & m1
@@ -1254,6 +1331,7 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             ins3[target] += 1
             if g is not None:
                 g[0][line] = target
+                rec[entry] = target
         return target
 
     for line, write, core, stamp in zip(lines_list, writes_list,
@@ -1285,36 +1363,47 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
         if g is None:
             s = d2[core]
             if s >= 0:
-                e2 = l2_idx[s][line & m2].get(line)
+                b = l2_idx[s][line & m2]
+                e2 = b.get(line)
                 if e2 is not None:
+                    del b[line]
+                    b[line] = e2
+                    e2.stamp = stamp
                     win = s
         else:
-            index, dups = g
+            index, dups, recency = g
             s = index.get(line, -2)
-            if s >= 0:
-                e2 = l2_idx[s][line & m2][line]
+            if s != -2:
+                set2 = line & m2
+                rec = recency[set2]
+                if s == -1:
+                    # Duplicate copies from a merge: lazy invalidation.
+                    # The freshest copy wins (stamps are unique, so
+                    # max-by-stamp is order-free), the rest vanish,
+                    # dirtiness folds in.
+                    copies = sorted(
+                        ((l2_idx[ds][set2][line], ds) for ds in dups[line]),
+                        key=lambda it: it[0].stamp, reverse=True)
+                    keep, s = copies[0]
+                    for de, ds in copies[1:]:
+                        del l2_idx[ds][set2][line]
+                        l2_data[ds][set2].remove(de)
+                        del rec[de]
+                        lazy2[ds] += 1
+                        if de.dirty:
+                            keep.dirty = True
+                    index[line] = s
+                    del dups[line]
+                # touch(): move to the recency tail of the slice and of
+                # the group's recency index.
+                b = l2_idx[s][set2]
+                e2 = b.pop(line)
+                b[line] = e2
+                del rec[e2]
+                rec[e2] = s
+                e2.stamp = stamp
                 win = s
-            elif s == -1:
-                # Duplicate copies from a merge: lazy invalidation.  The
-                # freshest copy wins (stamps are unique, so max-by-stamp
-                # is order-free), the rest vanish, dirtiness folds in.
-                copies = sorted(
-                    ((l2_idx[ds][line & m2][line], ds) for ds in dups[line]),
-                    key=lambda it: it[0].stamp, reverse=True)
-                e2, win = copies[0]
-                for de, ds in copies[1:]:
-                    del l2_idx[ds][line & m2][line]
-                    l2_data[ds][line & m2].remove(de)
-                    lazy2[ds] += 1
-                    if de.dirty:
-                        e2.dirty = True
-                index[line] = win
-                del dups[line]
         if win >= 0:
-            e2.stamp = stamp
-            b = l2_idx[win][line & m2]
-            del b[line]
-            b[line] = e2
             hit2[win] += 1
             if win == core:
                 c_l2l[core] += 1
@@ -1340,33 +1429,43 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
         if g is None:
             s = d3[core]
             if s >= 0:
-                e3 = l3_idx[s][line & m3].get(line)
+                b = l3_idx[s][line & m3]
+                e3 = b.get(line)
                 if e3 is not None:
+                    del b[line]
+                    b[line] = e3
+                    e3.stamp = stamp
                     win = s
         else:
-            index, dups = g
+            index, dups, recency = g
             s = index.get(line, -2)
-            if s >= 0:
-                e3 = l3_idx[s][line & m3][line]
+            if s != -2:
+                set3 = line & m3
+                rec = recency[set3]
+                if s == -1:
+                    copies = sorted(
+                        ((l3_idx[ds][set3][line], ds) for ds in dups[line]),
+                        key=lambda it: it[0].stamp, reverse=True)
+                    keep, s = copies[0]
+                    for de, ds in copies[1:]:
+                        del l3_idx[ds][set3][line]
+                        l3_data[ds][set3].remove(de)
+                        del rec[de]
+                        lazy3[ds] += 1
+                        if de.dirty:
+                            keep.dirty = True
+                    index[line] = s
+                    del dups[line]
+                # touch(): move to the recency tail of the slice and of
+                # the group's recency index.
+                b = l3_idx[s][set3]
+                e3 = b.pop(line)
+                b[line] = e3
+                del rec[e3]
+                rec[e3] = s
+                e3.stamp = stamp
                 win = s
-            elif s == -1:
-                copies = sorted(
-                    ((l3_idx[ds][line & m3][line], ds) for ds in dups[line]),
-                    key=lambda it: it[0].stamp, reverse=True)
-                e3, win = copies[0]
-                for de, ds in copies[1:]:
-                    del l3_idx[ds][line & m3][line]
-                    l3_data[ds][line & m3].remove(de)
-                    lazy3[ds] += 1
-                    if de.dirty:
-                        e3.dirty = True
-                index[line] = win
-                del dups[line]
         if win >= 0:
-            e3.stamp = stamp
-            b = l3_idx[win][line & m3]
-            del b[line]
-            b[line] = e3
             hit3[win] += 1
             if win == core:
                 c_l3l[core] += 1

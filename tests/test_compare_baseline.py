@@ -92,3 +92,18 @@ def test_missing_baseline_file_skips_even_with_gates(tmp_path):
     assert compare_baseline.main(
         ["compare_baseline", str(tmp_path / "absent.json"), str(got),
          "--gate", "speedup.merged"]) == 0
+
+
+def test_nested_metadata_leaf_is_not_a_throughput(tmp_path, capsys):
+    # ``scaled64.passes`` describes the measurement like a top-level
+    # ``passes``; lowering it is not a regression.
+    base = json.loads(json.dumps(BASELINE))
+    base["scaled64"]["passes"] = 2
+    fresh = json.loads(json.dumps(base))
+    fresh["scaled64"]["passes"] = 1
+    base_path = _write(tmp_path, "baseline.json", base)
+    fresh_path = _write(tmp_path, "fresh.json", fresh)
+    assert compare_baseline.main(
+        ["compare_baseline", str(base_path), str(fresh_path)]) == 0
+    assert "::warning" not in capsys.readouterr().out
+    assert compare_baseline.compare(base, fresh, "BENCH_batch") == []

@@ -23,8 +23,9 @@ differential suite in ``tests/sim/test_batch_equivalence.py`` proves it);
 this benchmark records only the throughput ratio.  Each topology is
 measured best-of-``PASSES`` to damp scheduler noise.  Output goes to
 ``benchmarks/results/batch.txt`` and, machine-readably, ``BENCH_batch.json``
-at the repo root.  CI gates on the committed merged/shared speedups via
-``benchmarks/compare_baseline.py --gate`` (a >20% drop fails the job).
+at the repo root.  CI gates on the committed private/merged/shared
+speedups via ``benchmarks/compare_baseline.py --gate`` (a >20% drop fails
+the job).
 
 The timed region is purely the epoch runner: trace generation, timer
 construction and ``end_epoch`` happen outside the clock.
@@ -178,7 +179,7 @@ def test_batch_engine(benchmark):
     # while a real regression (e.g. a silent fall-through to batch-general,
     # which the per-epoch tag asserts above also catch) still fails.  The
     # committed baselines are the real ratchet: compare_baseline.py --gate
-    # fails CI when merged/shared drop >20% below BENCH_batch.json.
+    # fails CI when private/merged/shared drop >20% below BENCH_batch.json.
     assert speedups["private"] >= 2.0, speedups
     assert speedups["merged"] >= 1.5, speedups
     assert speedups["shared"] >= 1.5, speedups

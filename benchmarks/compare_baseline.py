@@ -18,8 +18,8 @@ beyond the threshold — or is missing from the fresh measurement entirely —
 is an ``::error::`` and the script exits 1.  Gates are meant for
 *ratios* (batch-vs-event speedups), which divide out runner speed and are
 stable where absolute accesses/second are not; CI gates the batch engine's
-merged/shared speedups this way so the slice-group kernel cannot silently
-lose its advantage.  Without ``--gate`` the script always exits 0.  The
+private/merged/shared speedups this way so neither the per-core nor the
+slice-group kernel can silently lose its advantage.  Without ``--gate`` the script always exits 0.  The
 trace-overhead smoke job passes ``--threshold 0.02``: the observability
 layer's contract is that the disabled path stays within 2% of the
 committed hot-path baseline.

@@ -7,25 +7,27 @@ bits stripped) because the ACFV hardware of Section 2.1 hashes tags.
 Entries carry a monotonic access stamp supplied by the hierarchy; stamps
 implement true LRU and order copies during lazy invalidation after a merge.
 
-Hot-path layout: every set is backed by **two** structures kept in lockstep —
+Hot-path layout: every set is **one** ``line -> Entry`` dict (``_index``),
+giving O(1) ``lookup``, ``invalidate`` and ``__contains__``.
 
-- a way *list* (``_data``) in insertion order, which fixes the iteration
-  order of ``entries()``/``resident_lines()``/``flush()`` (checkpoint state
-  digests hash that order, so it must never change) and carries the way
-  indices the PLRU policy operates on;
-- a ``line -> Entry`` *dict* (``_index``) giving O(1) ``lookup``,
-  ``invalidate`` and ``__contains__`` instead of an O(ways) scan.
+Under true LRU the dict is kept in **recency order** (a hit re-appends its
+entry), so the LRU victim is simply the first value — O(1) instead of a
+``min()`` scan over the set.  This is exactly equivalent to min-by-stamp
+because the hierarchy's stamps are strictly monotonic: recency order and
+stamp order coincide, and stamps within a set are unique (each access
+touches or inserts at most one entry per slice).
 
-Under true LRU the dict is additionally kept in **recency order** (a hit
-re-appends its entry), so the LRU victim is simply the first value — O(1)
-instead of a ``min()`` scan over the set.  This is exactly equivalent to
-min-by-stamp because the hierarchy's stamps are strictly monotonic: recency
-order and stamp order coincide, and stamps within a set are unique (each
-access touches or inserts at most one entry per slice).
+The *fill* order of a set — the iteration order of ``entries()``,
+``resident_lines()``, ``flush()`` and ``export_arrays()``, which checkpoint
+state digests hash and so must never change — is recovered on demand from
+each entry's ``filled`` key: the stamp at which the line entered this set.
+Under PLRU nothing reorders the dict, so its order already is fill order,
+and a way index is a position in the dict.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -34,19 +36,28 @@ from repro.caches.replacement import make_policy
 
 
 class Entry:
-    """One cache line: its address, owning thread, dirtiness, access stamp."""
+    """One cache line: its address, owning thread, dirtiness, access stamp.
 
-    __slots__ = ("line", "owner", "dirty", "stamp")
+    ``filled`` is the stamp at which the line entered its set (the fill
+    order key of :class:`CacheSlice`); code that recycles an evicted entry
+    for a new line must reset it along with the other fields.
+    """
+
+    __slots__ = ("line", "owner", "dirty", "stamp", "filled")
 
     def __init__(self, line: int, owner: int, dirty: bool, stamp: int) -> None:
         self.line = line
         self.owner = owner
         self.dirty = dirty
         self.stamp = stamp
+        self.filled = stamp
 
     def __repr__(self) -> str:
         return f"Entry(line={self.line:#x}, owner={self.owner}, " \
                f"dirty={self.dirty}, stamp={self.stamp})"
+
+
+_by_fill = attrgetter("filled")
 
 
 class CacheSlice:
@@ -75,7 +86,6 @@ class CacheSlice:
         self._set_shift = sets.bit_length() - 1
         self.policy = make_policy(replacement, sets, ways)
         self._lru = replacement == "lru"
-        self._data: List[List[Entry]] = [[] for _ in range(sets)]
         self._index: List[Dict[int, Entry]] = [{} for _ in range(sets)]
 
     # -- address helpers ---------------------------------------------------
@@ -104,12 +114,12 @@ class CacheSlice:
             bucket[entry.line] = entry
             return
         set_index = entry.line & self._set_mask
-        way = self._data[set_index].index(entry)
+        way = list(self._index[set_index]).index(entry.line)
         self.policy.touch(set_index, way)
 
     def has_room(self, line: int) -> bool:
         """True if the line's set has a free way."""
-        return len(self._data[line & self._set_mask]) < self.ways
+        return len(self._index[line & self._set_mask]) < self.ways
 
     def insert(self, line: int, owner: int, dirty: bool, stamp: int) -> Optional[Entry]:
         """Install ``line``; return the evicted entry if the set was full.
@@ -118,40 +128,35 @@ class CacheSlice:
         present (the hierarchy always performs a group-wide lookup first).
         """
         set_index = line & self._set_mask
-        ways = self._data[set_index]
         bucket = self._index[set_index]
         victim: Optional[Entry] = None
-        if len(ways) >= self.ways:
+        if len(bucket) >= self.ways:
             if self._lru:
                 victim = next(iter(bucket.values()))
             else:
-                victim_way = self.policy.victim(set_index, [e.stamp for e in ways])
-                victim = ways[victim_way]
-            ways.remove(victim)
+                ways = list(bucket.values())
+                victim = ways[self.policy.victim(set_index,
+                                                 [e.stamp for e in ways])]
             del bucket[victim.line]
-        entry = Entry(line, owner, dirty, stamp)
-        ways.append(entry)
-        bucket[line] = entry
+        bucket[line] = Entry(line, owner, dirty, stamp)
         if not self._lru:
-            self.policy.touch(set_index, len(ways) - 1)
+            self.policy.touch(set_index, len(bucket) - 1)
         return victim
 
     def victim_candidate(self, line: int) -> Optional[Entry]:
         """The entry that *would* be evicted if ``line`` were inserted now."""
         set_index = line & self._set_mask
-        ways = self._data[set_index]
-        if len(ways) < self.ways:
+        bucket = self._index[set_index]
+        if len(bucket) < self.ways:
             return None
         if self._lru:
-            return next(iter(self._index[set_index].values()))
+            return next(iter(bucket.values()))
+        ways = list(bucket.values())
         return ways[self.policy.victim(set_index, [e.stamp for e in ways])]
 
     def invalidate(self, line: int) -> Optional[Entry]:
         """Remove ``line`` from the slice; return the entry if it was present."""
-        entry = self._index[line & self._set_mask].pop(line, None)
-        if entry is not None:
-            self._data[line & self._set_mask].remove(entry)
-        return entry
+        return self._index[line & self._set_mask].pop(line, None)
 
     def invalidate_entry(self, entry: Entry) -> bool:
         """Remove a specific entry object (used by lazy invalidation)."""
@@ -159,7 +164,6 @@ class CacheSlice:
         if bucket.get(entry.line) is not entry:
             return False
         del bucket[entry.line]
-        self._data[entry.line & self._set_mask].remove(entry)
         return True
 
     # -- array-friendly state export/import (batch engine & tests) ---------
@@ -169,36 +173,41 @@ class CacheSlice:
 
         The batch engine's per-set kernels hoist these dicts once per
         partition instead of re-resolving ``_index[line & mask]`` per
-        access.  Mutating the returned dict directly is only sound while
-        the lockstep way-list is maintained alongside (as the kernels do).
+        access, and mutate them directly.  A kernel that does so must keep
+        the slice's invariants itself: recency order under LRU, and
+        ``filled`` set to the fill stamp on every entry it installs or
+        recycles.
         """
         return self._index[set_index]
 
     def set_buckets(self) -> List[Dict[int, "Entry"]]:
         """All per-set recency dicts, indexed by set (LRU victim = first
-        value of each dict).  Lockstep with :meth:`way_lists`; same direct
-        mutation contract as :meth:`set_bucket`."""
+        value of each dict); same direct mutation contract as
+        :meth:`set_bucket`."""
         return self._index
 
     def way_lists(self) -> List[List[Entry]]:
-        """All per-set way lists in digest order, indexed by set.
+        """Per-set snapshots of the entries in fill order, indexed by set.
 
-        The batch kernels hoist these once per epoch and mutate them
-        directly (keeping :meth:`set_buckets` in lockstep), which is what
-        fixes the checkpoint/digest iteration order they must preserve.
+        The lists are fresh copies: mutating one does not touch the slice
+        (use :meth:`set_buckets` for that).  A PLRU dict is never
+        reordered, so its order already is fill order.
         """
-        return self._data
+        if self._lru:
+            return [sorted(bucket.values(), key=_by_fill)
+                    for bucket in self._index]
+        return [list(bucket.values()) for bucket in self._index]
 
     def export_arrays(self) -> Dict[str, np.ndarray]:
         """Snapshot the slice state as parallel numpy arrays.
 
-        Entries appear in digest order (way-list order per set, sets
-        ascending) so two slices are state-equal iff their exports are
-        element-wise equal.  Used by the batch-engine differential tests
-        and available to future vectorised kernels.
+        Entries appear in digest order (fill order per set, sets ascending)
+        so two slices are state-equal iff their exports are element-wise
+        equal.  Used by the batch-engine differential tests and available
+        to future vectorised kernels.
         """
         sets, lines, owners, dirty, stamps = [], [], [], [], []
-        for set_index, ways in enumerate(self._data):
+        for set_index, ways in enumerate(self.way_lists()):
             for entry in ways:
                 sets.append(set_index)
                 lines.append(entry.line)
@@ -216,45 +225,50 @@ class CacheSlice:
     def import_arrays(self, state: Dict[str, np.ndarray]) -> None:
         """Rebuild the slice from an :meth:`export_arrays` snapshot.
 
-        The way-lists are restored in export order; under true LRU the
-        recency dicts are rebuilt in stamp order (recency and stamp order
-        coincide for states produced by monotonic-stamp hierarchies), so a
-        round trip is state-identical including the LRU victim choice.
+        Entries get ``filled`` ranks in export order, all negative and so
+        below any real stamp (the hierarchy's first stamp is 1): fill order
+        survives the round trip, and later fills sort after every imported
+        entry.  Under true LRU the recency dicts are rebuilt in stamp order
+        (recency and stamp order coincide for states produced by
+        monotonic-stamp hierarchies), so a round trip is state-identical
+        including the LRU victim choice.  Under PLRU the dicts are built in
+        export order, which keeps every way index.
         """
-        self._data = [[] for _ in range(self.sets)]
-        self._index = [{} for _ in range(self.sets)]
-        entries = [Entry(int(line), int(owner), bool(d), int(stamp))
-                   for line, owner, d, stamp in zip(
-                       state["line"], state["owner"],
-                       state["dirty"], state["stamp"])]
-        for set_index, entry in zip(state["set"], entries):
+        held: List[List[Entry]] = [[] for _ in range(self.sets)]
+        count = len(state["line"])
+        for rank, (set_index, line, owner, d, stamp) in enumerate(zip(
+                state["set"], state["line"], state["owner"],
+                state["dirty"], state["stamp"])):
             set_index = int(set_index)
-            if len(self._data[set_index]) >= self.ways:
+            if len(held[set_index]) >= self.ways:
                 raise ValueError(
                     f"set {set_index} over-full in imported state")
-            self._data[set_index].append(entry)
-        for set_index in range(self.sets):
-            for entry in sorted(self._data[set_index], key=lambda e: e.stamp):
-                self._index[set_index][entry.line] = entry
+            entry = Entry(int(line), int(owner), bool(d), int(stamp))
+            entry.filled = rank - count
+            held[set_index].append(entry)
+        if self._lru:
+            for ways in held:
+                ways.sort(key=lambda e: e.stamp)
+        self._index = [{entry.line: entry for entry in ways} for ways in held]
 
     # -- introspection -----------------------------------------------------
 
     def occupancy(self) -> int:
         """Number of valid lines currently held."""
-        return sum(len(ways) for ways in self._data)
+        return sum(len(bucket) for bucket in self._index)
 
     def resident_lines(self) -> List[int]:
         """All line addresses currently in the slice (test/oracle helper)."""
-        return [entry.line for ways in self._data for entry in ways]
+        return [entry.line for entry in self.entries()]
 
     def entries(self) -> List[Entry]:
-        """All valid entries (snapshot; safe to invalidate while iterating)."""
-        return [entry for ways in self._data for entry in ways]
+        """All valid entries in fill order per set, sets ascending
+        (snapshot; safe to invalidate while iterating)."""
+        return [entry for ways in self.way_lists() for entry in ways]
 
     def flush(self) -> List[Entry]:
         """Invalidate everything; return the removed entries."""
-        removed = [entry for ways in self._data for entry in ways]
-        self._data = [[] for _ in range(self.sets)]
+        removed = self.entries()
         self._index = [{} for _ in range(self.sets)]
         return removed
 

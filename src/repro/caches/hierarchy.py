@@ -397,13 +397,16 @@ class CacheHierarchy:
         slices = self.l2s if level == L2 else self.l3s
         index: Dict[int, int] = {}
         dups: Dict[int, Set[int]] = {}
+        # Order-free, so the per-set dicts are read directly rather than
+        # through the fill-order sort of ``resident_lines()``.
         for slice_id in group:
-            for line in slices[slice_id].resident_lines():
-                prev = index.setdefault(line, slice_id)
-                if prev != slice_id:
-                    dups.setdefault(line, {prev} if prev >= 0 else set()) \
-                        .add(slice_id)
-                    index[line] = -1
+            for bucket in slices[slice_id].set_buckets():
+                for line in bucket:
+                    prev = index.setdefault(line, slice_id)
+                    if prev != slice_id:
+                        dups.setdefault(line, {prev} if prev >= 0 else set()) \
+                            .add(slice_id)
+                        index[line] = -1
         return index, dups
 
     def max_access_latency(self) -> int:
@@ -598,15 +601,12 @@ class CacheHierarchy:
         are all overwritten) to avoid an allocation per fill; the victim's
         line/dirtiness are captured first.
         """
-        set_index = line & l1._set_mask
-        ways = l1._data[set_index]
-        bucket = l1._index[set_index]
+        bucket = l1._index[line & l1._set_mask]
         directory = self._l1_directory
-        if len(ways) >= l1.ways:
+        if len(bucket) >= l1.ways:
             victim = next(iter(bucket.values()))
             victim_line = victim.line
             del bucket[victim_line]
-            ways.remove(victim)
             holders = directory.get(victim_line)
             if holders is not None:
                 holders.discard(core)
@@ -620,10 +620,9 @@ class CacheHierarchy:
             entry.line = line
             entry.owner = core
             entry.dirty = write
-            entry.stamp = stamp
+            entry.stamp = entry.filled = stamp
         else:
             entry = Entry(line, core, write, stamp)
-        ways.append(entry)
         bucket[line] = entry
         holders = directory.get(line)
         if holders is None:
@@ -639,25 +638,21 @@ class CacheHierarchy:
         allocation per fill; its line/owner are captured first for the
         eviction bookkeeping that runs after the insert.
         """
-        set_index = line & slice_._set_mask
-        ways = slice_._data[set_index]
-        bucket = slice_._index[set_index]
+        bucket = slice_._index[line & slice_._set_mask]
         victim_line = -1
         victim_owner = -1
-        if len(ways) >= slice_.ways:
+        if len(bucket) >= slice_.ways:
             victim = next(iter(bucket.values()))
             victim_line = victim.line
             victim_owner = victim.owner
-            ways.remove(victim)
             del bucket[victim_line]
             entry = victim  # recycle
             entry.line = line
             entry.owner = core
             entry.dirty = write
-            entry.stamp = stamp
+            entry.stamp = entry.filled = stamp
         else:
             entry = Entry(line, core, write, stamp)
-        ways.append(entry)
         bucket[line] = entry
         stats = binding.stats[core]
         stats.insertions += 1

@@ -40,7 +40,8 @@ def state_digest(system) -> str:
     """SHA-256 over the system's full architectural state.
 
     Covers the cache hierarchy (every entry's line/owner/dirty/stamp, the
-    installed topology, disabled slices, the LRU stamp counter) and the
+    tree bits of non-LRU replacement policies, the installed topology,
+    disabled slices, the LRU stamp counter) and the
     MorphCache controller (ACFV vectors, epoch, guard mode) when present.
     Systems without a hierarchy (PIPP/DSR baselines) digest their cumulative
     miss counters, which the access stream fully determines.
@@ -62,6 +63,12 @@ def state_digest(system) -> str:
                 for entry in cache.entries():
                     feed(name, slice_id, entry.line, entry.owner,
                          entry.dirty, entry.stamp)
+                # True LRU is fully fixed by the stamps above; only other
+                # policies carry state of their own (so LRU digests, and
+                # every golden pinning them, are unchanged).
+                if cache.policy.name != "lru":
+                    feed(name, slice_id, cache.policy.name,
+                         cache.policy._bits)
     controller = getattr(system, "controller", None)
     if controller is not None:
         feed("epoch", controller._epoch, "mode", controller.guard.mode)

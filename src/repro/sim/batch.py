@@ -329,8 +329,8 @@ def _scan_owners(hier: CacheHierarchy) -> Optional[Tuple[Dict[int, int],
     slots: Dict[int, int] = {}
     for slices in (hier.l1s, hier.l2s, hier.l3s):
         for slice_ in slices:
-            for ways in slice_._data:
-                for entry in ways:
+            for bucket in slice_._index:
+                for entry in bucket.values():
                     if owners.setdefault(entry.line, entry.owner) != entry.owner:
                         return None
     for line, holders in hier._l1_directory.items():
@@ -449,11 +449,8 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
         lines_list = trace.lines[:n_accesses].tolist()
         writes_list = trace.writes[:n_accesses].tolist()
         l1x = hier.l1s[core]._index
-        l1d = hier.l1s[core]._data
         l2x = hier.l2s[core]._index
-        l2d = hier.l2s[core]._data
         l3x = hier.l3s[core]._index
-        l3d = hier.l3s[core]._data
         # Directory reconstruction (see docstring): remember what is in
         # this L1 now, fix the directory up after the loop.
         old_resident = {ln for bucket in l1x for ln in bucket}
@@ -507,17 +504,14 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
                         add3(line)
                 else:
                     cmem += 1
-                    ways3 = l3d[set3]
-                    if len(ways3) >= w3:
+                    if len(bucket3) >= w3:
                         for v_line in bucket3:
                             break
                         victim = bucket3.pop(v_line)
-                        ways3.remove(victim)
                         victim.line = line
                         victim.owner = core
                         victim.dirty = write
-                        victim.stamp = stamp
-                        ways3.append(victim)
+                        victim.stamp = victim.filled = stamp
                         bucket3[line] = victim
                         evi3 += 1
                         # Inclusion: the L3 cover is this core alone (gate).
@@ -525,52 +519,34 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
                         # means a victim absent from the L2 slice cannot be
                         # in the L1 either; the directory entry, if any, is
                         # exactly {core} and gets rebuilt at flush.
-                        v_set2 = v_line & m2
-                        ve = l2x[v_set2].pop(v_line, None)
-                        if ve is not None:
-                            l2d[v_set2].remove(ve)
+                        if l2x[v_line & m2].pop(v_line, None) is not None:
                             evi2 += 1
-                            v_set1 = v_line & m1
-                            ve = l1x[v_set1].pop(v_line, None)
-                            if ve is not None:
-                                l1d[v_set1].remove(ve)
+                            l1x[v_line & m1].pop(v_line, None)
                     else:
-                        entry = new_entry(line, core, write, stamp)
-                        ways3.append(entry)
-                        bucket3[line] = entry
+                        bucket3[line] = new_entry(line, core, write, stamp)
 
-                ways2 = l2d[set2]
-                if len(ways2) >= w2:
+                if len(bucket2) >= w2:
                     for v_line in bucket2:
                         break
                     victim = bucket2.pop(v_line)
-                    ways2.remove(victim)
                     victim.line = line
                     victim.owner = core
                     victim.dirty = write
-                    victim.stamp = stamp
-                    ways2.append(victim)
+                    victim.stamp = victim.filled = stamp
                     bucket2[line] = victim
                     evi2 += 1
-                    v_set1 = v_line & m1
-                    ve = l1x[v_set1].pop(v_line, None)
-                    if ve is not None:
-                        l1d[v_set1].remove(ve)
+                    l1x[v_line & m1].pop(v_line, None)
                 else:
-                    entry = new_entry(line, core, write, stamp)
-                    ways2.append(entry)
-                    bucket2[line] = entry
+                    bucket2[line] = new_entry(line, core, write, stamp)
 
             # Fill L1.  The victim's holder set is exactly {core} (no
             # sharing), so the discard-then-empty-delete of the event path
             # collapses to a plain delete — deferred to the flush, along
             # with the fresh singleton insert for the filled line.
-            ways1 = l1d[set1]
-            if len(ways1) >= w1:
+            if len(bucket1) >= w1:
                 for v_line in bucket1:
                     break
                 victim = bucket1.pop(v_line)
-                ways1.remove(victim)
                 if victim.dirty:
                     # Inclusion guarantees the L2 copy exists (a KeyError
                     # here would mean the gate's invariant was violated).
@@ -578,12 +554,10 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
                 victim.line = line
                 victim.owner = core
                 victim.dirty = write
-                victim.stamp = stamp
-                entry = victim
+                victim.stamp = victim.filled = stamp
+                bucket1[line] = victim
             else:
-                entry = new_entry(line, core, write, stamp)
-            ways1.append(entry)
-            bucket1[line] = entry
+                bucket1[line] = new_entry(line, core, write, stamp)
 
         # Directory fix-up: entries whose lines left this L1 disappear,
         # lines that joined get fresh {core} singletons, survivors keep
@@ -634,15 +608,16 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
     Semantically identical to ``CacheHierarchy._access_private`` driven in
     global order, with the whole access *and fill* chain inlined into one
     loop: the probes and recency updates are the same dict operations, the
-    fills/evictions/back-invalidations mutate the same lockstep structures
-    the hierarchy's own ``_fill_private``/``_fill_l1_private``/
-    ``_back_invalidate`` would (entry recycling included), and per-core
-    integer counts replace per-access stat and timer updates (flushed once
-    at the end; integer sums commute and the timing decomposition is exact,
-    see module docstring).  Observer ``on_fill``/``on_evict`` calls are
-    elided outright: the kernel only runs under :func:`_observer_order_free`,
-    where both hooks are no-ops (``AcfvBank.on_fill`` never counts fills and
-    ``on_evict`` returns immediately with ``clear_levels`` empty).
+    fills/evictions/back-invalidations mutate the same per-set recency
+    dicts the hierarchy's own ``_fill_private``/``_fill_l1_private``/
+    ``_back_invalidate`` would (entry recycling, ``filled`` included), and
+    per-core integer counts replace per-access stat and timer updates
+    (flushed once at the end; integer sums commute and the timing
+    decomposition is exact, see module docstring).  Observer
+    ``on_fill``/``on_evict`` calls are elided outright: the kernel only runs
+    under :func:`_observer_order_free`, where both hooks are no-ops
+    (``AcfvBank.on_fill`` never counts fills and ``on_evict`` returns
+    immediately with ``clear_levels`` empty).
     """
     config = hier.config
     n_cores = config.cores
@@ -667,9 +642,6 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
     l1_idx = [s._index for s in l1s]
     l2_idx = [s._index for s in l2s]
     l3_idx = [s._index for s in l3s]
-    l1_data = [s._data for s in l1s]
-    l2_data = [s._data for s in l2s]
-    l3_data = [s._data for s in l3s]
     m1 = config.l1.sets - 1
     m2 = config.l2_slice.sets - 1
     m3 = config.l3_slice.sets - 1
@@ -762,79 +734,59 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
                 # fill/evict hooks elided — no-ops under the gate).
                 c_mem[core] += 1
                 hc_level = hcm
-                ways3 = l3_data[core][line & m3]
-                if len(ways3) >= w3:
-                    victim = next(iter(bucket3.values()))
-                    v_line = victim.line
-                    ways3.remove(victim)
-                    del bucket3[v_line]
+                ins3[core] += 1
+                if len(bucket3) >= w3:
+                    for v_line in bucket3:
+                        break
+                    victim = bucket3.pop(v_line)
                     victim.line = line
                     victim.owner = core
                     victim.dirty = write
-                    victim.stamp = stamp
-                    ways3.append(victim)
+                    victim.stamp = victim.filled = stamp
                     bucket3[line] = victim
-                    ins3[core] += 1
                     evi3[core] += 1
                     # Inclusion (_back_invalidate at L3): drop the victim
                     # from every covered L2 slice, then from the L1s.
                     v_set2 = v_line & m2
                     for cov in l3_cover[core]:
-                        ve = l2_idx[cov][v_set2].pop(v_line, None)
-                        if ve is not None:
-                            l2_data[cov][v_set2].remove(ve)
+                        if l2_idx[cov][v_set2].pop(v_line, None) is not None:
                             evi2[cov] += 1
                     holders = directory.get(v_line)
                     if holders:
                         v_set1 = v_line & m1
-                        for hc in list(holders):
-                            ve = l1_idx[hc][v_set1].pop(v_line, None)
-                            if ve is not None:
-                                l1_data[hc][v_set1].remove(ve)
+                        for hc in holders:
+                            l1_idx[hc][v_set1].pop(v_line, None)
                         del directory[v_line]
                 else:
-                    entry = new_entry(line, core, write, stamp)
-                    ways3.append(entry)
-                    bucket3[line] = entry
-                    ins3[core] += 1
+                    bucket3[line] = new_entry(line, core, write, stamp)
 
             # Fill L2 (both the L3-hit and memory paths).
-            ways2 = l2_data[core][line & m2]
-            if len(ways2) >= w2:
-                victim = next(iter(bucket2.values()))
-                v_line = victim.line
-                ways2.remove(victim)
-                del bucket2[v_line]
+            ins2[core] += 1
+            if len(bucket2) >= w2:
+                for v_line in bucket2:
+                    break
+                victim = bucket2.pop(v_line)
                 victim.line = line
                 victim.owner = core
                 victim.dirty = write
-                victim.stamp = stamp
-                ways2.append(victim)
+                victim.stamp = victim.filled = stamp
                 bucket2[line] = victim
-                ins2[core] += 1
                 evi2[core] += 1
                 # Inclusion (_back_invalidate at L2): L1 holders only.
                 holders = directory.get(v_line)
                 if holders:
                     v_set1 = v_line & m1
-                    for hc in list(holders):
-                        ve = l1_idx[hc][v_set1].pop(v_line, None)
-                        if ve is not None:
-                            l1_data[hc][v_set1].remove(ve)
+                    for hc in holders:
+                        l1_idx[hc][v_set1].pop(v_line, None)
                     del directory[v_line]
             else:
-                entry = new_entry(line, core, write, stamp)
-                ways2.append(entry)
-                bucket2[line] = entry
-                ins2[core] += 1
+                bucket2[line] = new_entry(line, core, write, stamp)
 
         # Fill L1 (every non-L1-hit path; inlined _fill_l1_private).
-        ways1 = l1_data[core][set1]
-        if len(ways1) >= w1:
-            victim = next(iter(bucket1.values()))
-            v_line = victim.line
-            del bucket1[v_line]
-            ways1.remove(victim)
+        if len(bucket1) >= w1:
+            for v_line in bucket1:
+                break
+            victim = bucket1.pop(v_line)
             holders = directory.get(v_line)
             if holders is not None:
                 holders.discard(core)
@@ -847,12 +799,10 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
             victim.line = line
             victim.owner = core
             victim.dirty = write
-            victim.stamp = stamp
-            entry = victim
+            victim.stamp = victim.filled = stamp
+            bucket1[line] = victim
         else:
-            entry = new_entry(line, core, write, stamp)
-        ways1.append(entry)
-        bucket1[line] = entry
+            bucket1[line] = new_entry(line, core, write, stamp)
         holders = directory.get(line)
         if holders is None:
             directory[line] = {core}
@@ -1011,23 +961,26 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     """Set-partitioned resolution of a merged/shared LRU epoch.
 
     Semantically identical to ``CacheHierarchy.access`` driven in global
-    order: group probes resolve through the aggregate residency maps (one
-    dict lookup instead of probing every slice), hits replay ``touch`` on
-    the winning slice, duplicate copies replay lazy invalidation (freshest
-    stamp wins, dirtiness folds into the winner), fills replay
+    order, in the private kernel's fall-through shape: an L1 hit ends the
+    access; otherwise the L2 group probe, then on a miss the L3 group probe
+    or memory plus the L3 fill, then the L2 fill, and the L1 fill as the
+    shared tail.  Group probes resolve through the aggregate residency maps
+    (one dict lookup instead of probing every slice), hits replay ``touch``
+    on the winning slice, duplicate copies replay lazy invalidation
+    (freshest stamp wins, dirtiness folds into the winner), fills replay
     ``_fill_group`` placement (local slice if its set has room, else first
     slice in search order with room, else the group-wide LRU victim — read
     in O(1) as the first key of the group's per-set recency index, see
-    :func:`_recency_index`) with ``_back_invalidate`` inlined, and L1
-    handling replays ``_fill_l1`` —
-    including its first-in-search-order dirty write-back.  Per-core and
-    per-slice integer counters flush once at the end, and timing flushes
-    through one exact reduction per core (the dispatch gate verified
-    exactness against the worst-case latency bound).  Observer
-    ``on_fill``/``on_evict`` are elided — no-ops under
-    :func:`_observer_order_free` — and every hit the event path would
-    report to ``on_hit`` is buffered per core and flushed at the end
-    (:func:`_flush_hits`).
+    :func:`_recency_index`) with ``_back_invalidate`` inlined, and the L1
+    fill replays ``_fill_l1``, including its first-in-search-order dirty
+    write-back.  Hits are counted per ``(core, serving slice)`` and misses
+    per core; stats and timing are priced from those counts once at the
+    end (one exact reduction per core — the dispatch gate verified
+    exactness against the worst-case latency bound), so only coherence
+    adders accumulate latency per access.  Observer ``on_fill``/``on_evict``
+    are elided — no-ops under :func:`_observer_order_free` — and every hit
+    the event path would report to ``on_hit`` is buffered per core and
+    flushed at the end (:func:`_flush_hits`).
     """
     state = _group_state(hier)
     maps = state["maps"]
@@ -1051,11 +1004,8 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
         cores_list = cores.tolist()
 
     l1_idx = [s.set_buckets() for s in hier.l1s]
-    l1_data = [s.way_lists() for s in hier.l1s]
     l2_idx = [s.set_buckets() for s in hier.l2s]
-    l2_data = [s.way_lists() for s in hier.l2s]
     l3_idx = [s.set_buckets() for s in hier.l3s]
-    l3_data = [s.way_lists() for s in hier.l3s]
     m1 = config.l1.sets - 1
     m2 = config.l2_slice.sets - 1
     m3 = config.l3_slice.sets - 1
@@ -1110,24 +1060,23 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     lat2 = _hit_latencies(lat.l2_local_hit, lat.l2_merged_hit)
     lat3 = _hit_latencies(lat.l3_local_hit, lat.l3_merged_hit)
 
+    # h2[core][slice]: L2 hits served by ``slice`` for ``core`` (likewise
+    # h3) — the per-slice hit stats, the local/remote split and the hit
+    # latencies are all priced from these at the flush.
+    h2 = [[0] * n_cores for _ in range(n_cores)]
+    h3 = [[0] * n_cores for _ in range(n_cores)]
     c_l1 = [0] * n_cores
-    c_l2l = [0] * n_cores
-    c_l2r = [0] * n_cores
-    c_l3l = [0] * n_cores
-    c_l3r = [0] * n_cores
     c_mem = [0] * n_cores
-    hit2 = [0] * n_cores
     miss2 = [0] * n_cores
     ins2 = [0] * n_cores
     evi2 = [0] * n_cores
     lazy2 = [0] * n_cores
-    hit3 = [0] * n_cores
     miss3 = [0] * n_cores
     ins3 = [0] * n_cores
     evi3 = [0] * n_cores
     lazy3 = [0] * n_cores
-    lat_sum = [0] * n_cores
-    off = [0] * n_cores
+    lat_extra = [0] * n_cores
+    off_extra = [0] * n_cores
     ml = [0] * n_cores
     for core in active:
         ml[core] = timers[core].memory_latency
@@ -1140,123 +1089,20 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     inval_others = hier._invalidate_other_l1s
     new_entry = Entry
 
-    def fill_l1(core: int, line: int, write: bool, stamp: int) -> None:
-        # _fill_l1 inlined (entry recycling included; value-identical).
-        set1 = line & m1
-        ways = l1_data[core][set1]
-        bucket = l1_idx[core][set1]
-        if len(ways) >= w1:
-            victim = next(iter(bucket.values()))
-            v_line = victim.line
-            del bucket[v_line]
-            ways.remove(victim)
-            holders = directory.get(v_line)
-            if holders is not None:
-                holders.discard(core)
-                if not holders:
-                    del directory[v_line]
-            if victim.dirty:
-                # The write-back lands on the *first* copy in search order
-                # (same set, hence same partition) — not the freshest one;
-                # _fill_l1 probes in order and stops at the first hit.  A
-                # multi-slice group's residency map names the holders, so
-                # only duplicates need the search order.
-                g = gi2[core]
-                if g is None:
-                    s = d2[core]
-                else:
-                    s = g[0].get(v_line, -2)
-                    if s == -1:
-                        holders = g[1][v_line]
-                        for s in ord2[core]:
-                            if s in holders:
-                                break
-                if s >= 0:
-                    l2e = l2_idx[s][v_line & m2].get(v_line)
-                    if l2e is not None:
-                        l2e.dirty = True
-            victim.line = line
-            victim.owner = core
-            victim.dirty = write
-            victim.stamp = stamp
-            entry = victim
-        else:
-            entry = new_entry(line, core, write, stamp)
-        ways.append(entry)
-        bucket[line] = entry
-        holders = directory.get(line)
-        if holders is None:
-            directory[line] = {core}
-        else:
-            holders.add(core)
-
-    def fill_l2(core: int, line: int, write: bool, stamp: int):
-        # _fill_group at L2 with insert inlined and the residency map and
-        # recency index maintained; returns the slice filled, or None
-        # (group offline).
-        o = ord2[core]
-        if not o:
-            return None
-        set2 = line & m2
-        g = gi2[core]
-        if g is None:
-            target = o[0]
-        else:
-            rec = g[2][set2]
-            if len(rec) == full2[core]:
-                # Group set full: the recency index's first key is the
-                # group-wide LRU victim, so skip the room scan.
-                for victim in rec:
-                    break
-                target = rec[victim]
-            else:
-                # Some live slice has room, so this scan always succeeds.
-                for target in o:
-                    if len(l2_data[target][set2]) < w2:
-                        break
-        ways = l2_data[target][set2]
-        bucket = l2_idx[target][set2]
-        if len(ways) >= w2:
-            victim = next(iter(bucket.values()))
-            v_line = victim.line
-            ways.remove(victim)
-            del bucket[v_line]
-            victim.line = line
-            victim.owner = core
-            victim.dirty = write
-            victim.stamp = stamp
-            ways.append(victim)
-            bucket[line] = victim
-            ins2[target] += 1
-            evi2[target] += 1
-            if g is not None:
-                index, dups, _ = g
-                _group_index_remove(index, dups, v_line, target)
-                index[line] = target
-                del rec[victim]
-                rec[victim] = target
-            # _back_invalidate at L2: only the L1 holders must go.
-            holders = directory.get(v_line)
-            if holders:
-                v_set1 = v_line & m1
-                for hc in list(holders):
-                    ve = l1_idx[hc][v_set1].pop(v_line, None)
-                    if ve is not None:
-                        l1_data[hc][v_set1].remove(ve)
-                del directory[v_line]
-        else:
-            entry = new_entry(line, core, write, stamp)
-            ways.append(entry)
-            bucket[line] = entry
-            ins2[target] += 1
-            if g is not None:
-                g[0][line] = target
-                rec[entry] = target
-        return target
+    def coherence(core: int, line: int, latency: int) -> None:
+        # _invalidate_other_l1s on top of an access of ``latency`` cycles:
+        # its adder, and the off-chip threshold crossing it may cause.
+        extra = inval_others(core, line)
+        if extra:
+            lat_extra[core] += extra
+            m = ml[core]
+            off_extra[core] += (latency + extra >= m) - (latency >= m)
 
     def fill_l3(core: int, line: int, write: bool, stamp: int):
-        # _fill_group at L3; its back-invalidation additionally sweeps the
-        # covered L2 slices (same subset index bits, same partition).
+        # _fill_group at L3 with insert inlined and the residency map and
+        # recency index maintained; its back-invalidation additionally
+        # sweeps the covered L2 slices (same subset index bits, same
+        # partition).  Returns the slice filled, or None (group offline).
         o = ord3[core]
         if not o:
             return None
@@ -1275,22 +1121,19 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             else:
                 # Some live slice has room, so this scan always succeeds.
                 for target in o:
-                    if len(l3_data[target][set3]) < w3:
+                    if len(l3_idx[target][set3]) < w3:
                         break
-        ways = l3_data[target][set3]
         bucket = l3_idx[target][set3]
-        if len(ways) >= w3:
-            victim = next(iter(bucket.values()))
-            v_line = victim.line
-            ways.remove(victim)
-            del bucket[v_line]
+        ins3[target] += 1
+        if len(bucket) >= w3:
+            for v_line in bucket:
+                break
+            victim = bucket.pop(v_line)
             victim.line = line
             victim.owner = core
             victim.dirty = write
-            victim.stamp = stamp
-            ways.append(victim)
+            victim.stamp = victim.filled = stamp
             bucket[line] = victim
-            ins3[target] += 1
             evi3[target] += 1
             if g is not None:
                 index, dups, _ = g
@@ -1301,9 +1144,7 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             v_set2 = v_line & m2
             for cov, gcov in cover2[target]:
                 if gcov is None:
-                    ve = l2_idx[cov][v_set2].pop(v_line, None)
-                    if ve is not None:
-                        l2_data[cov][v_set2].remove(ve)
+                    if l2_idx[cov][v_set2].pop(v_line, None) is not None:
                         evi2[cov] += 1
                     continue
                 index, dups, recency = gcov
@@ -1312,23 +1153,17 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                     continue
                 rec = recency[v_set2]
                 for cov in (dups.pop(v_line) if held == -1 else (held,)):
-                    ve = l2_idx[cov][v_set2].pop(v_line)
-                    l2_data[cov][v_set2].remove(ve)
+                    del rec[l2_idx[cov][v_set2].pop(v_line)]
                     evi2[cov] += 1
-                    del rec[ve]
             holders = directory.get(v_line)
             if holders:
                 v_set1 = v_line & m1
-                for hc in list(holders):
-                    ve = l1_idx[hc][v_set1].pop(v_line, None)
-                    if ve is not None:
-                        l1_data[hc][v_set1].remove(ve)
+                for hc in holders:
+                    l1_idx[hc][v_set1].pop(v_line, None)
                 del directory[v_line]
         else:
             entry = new_entry(line, core, write, stamp)
-            ways.append(entry)
             bucket[line] = entry
-            ins3[target] += 1
             if g is not None:
                 g[0][line] = target
                 rec[entry] = target
@@ -1345,166 +1180,223 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             del bucket1[line]
             bucket1[line] = entry
             c_l1[core] += 1
-            latency = lat_l1
             if write:
                 entry.dirty = True
                 holders = directory.get(line)
                 if holders is not None and len(holders) > 1:
-                    latency += inval_others(core, line)
-            lat_sum[core] += latency
-            if latency >= ml[core]:
-                off[core] += 1
+                    coherence(core, line, lat_l1)
             continue
 
         # L2 group probe through the aggregate residency map (singleton
         # groups probe their one slice directly).
-        win = -1
-        g = gi2[core]
-        if g is None:
+        set2 = line & m2
+        g2 = gi2[core]
+        entry = None
+        if g2 is None:
             s = d2[core]
             if s >= 0:
-                b = l2_idx[s][line & m2]
-                e2 = b.get(line)
-                if e2 is not None:
-                    del b[line]
-                    b[line] = e2
-                    e2.stamp = stamp
-                    win = s
+                bucket2 = l2_idx[s][set2]
+                entry = bucket2.get(line)
+                if entry is not None:
+                    del bucket2[line]
+                    bucket2[line] = entry
         else:
-            index, dups, recency = g
-            s = index.get(line, -2)
+            index2, dups2, recency2 = g2
+            s = index2.get(line, -2)
             if s != -2:
-                set2 = line & m2
-                rec = recency[set2]
+                rec = recency2[set2]
                 if s == -1:
                     # Duplicate copies from a merge: lazy invalidation.
                     # The freshest copy wins (stamps are unique, so
                     # max-by-stamp is order-free), the rest vanish,
                     # dirtiness folds in.
                     copies = sorted(
-                        ((l2_idx[ds][set2][line], ds) for ds in dups[line]),
+                        ((l2_idx[ds][set2][line], ds) for ds in dups2[line]),
                         key=lambda it: it[0].stamp, reverse=True)
                     keep, s = copies[0]
                     for de, ds in copies[1:]:
                         del l2_idx[ds][set2][line]
-                        l2_data[ds][set2].remove(de)
                         del rec[de]
                         lazy2[ds] += 1
                         if de.dirty:
                             keep.dirty = True
-                    index[line] = s
-                    del dups[line]
+                    index2[line] = s
+                    del dups2[line]
                 # touch(): move to the recency tail of the slice and of
                 # the group's recency index.
-                b = l2_idx[s][set2]
-                e2 = b.pop(line)
-                b[line] = e2
-                del rec[e2]
-                rec[e2] = s
-                e2.stamp = stamp
-                win = s
-        if win >= 0:
-            hit2[win] += 1
-            if win == core:
-                c_l2l[core] += 1
-            else:
-                c_l2r[core] += 1
+                bucket2 = l2_idx[s][set2]
+                entry = bucket2.pop(line)
+                bucket2[line] = entry
+                del rec[entry]
+                rec[entry] = s
+        if entry is not None:
+            entry.stamp = stamp
+            h2[core][s] += 1
+            win, hlat = s, lat2
             if notify_hit:
                 hits2[core].add(line)
-            latency = lat2[core][win]
-            fill_l1(core, line, write, stamp)
-            if write:
-                holders = directory.get(line)
-                if holders and (len(holders) > 1 or core not in holders):
-                    latency += inval_others(core, line)
-            lat_sum[core] += latency
-            if latency >= ml[core]:
-                off[core] += 1
-            continue
-        miss2[core] += 1
-
-        # L3 group probe.
-        win = -1
-        g = gi3[core]
-        if g is None:
-            s = d3[core]
-            if s >= 0:
-                b = l3_idx[s][line & m3]
-                e3 = b.get(line)
-                if e3 is not None:
-                    del b[line]
-                    b[line] = e3
-                    e3.stamp = stamp
-                    win = s
         else:
-            index, dups, recency = g
-            s = index.get(line, -2)
-            if s != -2:
-                set3 = line & m3
-                rec = recency[set3]
-                if s == -1:
-                    copies = sorted(
-                        ((l3_idx[ds][set3][line], ds) for ds in dups[line]),
-                        key=lambda it: it[0].stamp, reverse=True)
-                    keep, s = copies[0]
-                    for de, ds in copies[1:]:
-                        del l3_idx[ds][set3][line]
-                        l3_data[ds][set3].remove(de)
-                        del rec[de]
-                        lazy3[ds] += 1
-                        if de.dirty:
-                            keep.dirty = True
-                    index[line] = s
-                    del dups[line]
-                # touch(): move to the recency tail of the slice and of
-                # the group's recency index.
-                b = l3_idx[s][set3]
-                e3 = b.pop(line)
-                b[line] = e3
-                del rec[e3]
-                rec[e3] = s
-                e3.stamp = stamp
-                win = s
-        if win >= 0:
-            hit3[win] += 1
-            if win == core:
-                c_l3l[core] += 1
-            else:
-                c_l3r[core] += 1
-            if notify_hit:
-                hits3[core].add(line)
-            latency = lat3[core][win]
-            if fill_l2(core, line, write, stamp) is not None:
-                fill_l1(core, line, write, stamp)
-            if write:
-                holders = directory.get(line)
-                if holders and (len(holders) > 1 or core not in holders):
-                    latency += inval_others(core, line)
-            lat_sum[core] += latency
-            if latency >= ml[core]:
-                off[core] += 1
-            continue
-        miss3[core] += 1
+            miss2[core] += 1
 
-        # Main memory; fills cascade only while the parent level succeeded
-        # (a fully-offline group skips the lower levels too — inclusion).
-        c_mem[core] += 1
-        latency = lat_mem
-        if fill_l3(core, line, write, stamp) is not None:
-            if fill_l2(core, line, write, stamp) is not None:
-                fill_l1(core, line, write, stamp)
-        if write:
-            holders = directory.get(line)
-            if holders and (len(holders) > 1 or core not in holders):
-                latency += inval_others(core, line)
-        lat_sum[core] += latency
-        if latency >= ml[core]:
-            off[core] += 1
+            # L3 group probe.
+            set3 = line & m3
+            g3 = gi3[core]
+            if g3 is None:
+                s = d3[core]
+                if s >= 0:
+                    b = l3_idx[s][set3]
+                    entry = b.get(line)
+                    if entry is not None:
+                        del b[line]
+                        b[line] = entry
+            else:
+                index3, dups3, recency3 = g3
+                s = index3.get(line, -2)
+                if s != -2:
+                    rec = recency3[set3]
+                    if s == -1:
+                        copies = sorted(
+                            ((l3_idx[ds][set3][line], ds)
+                             for ds in dups3[line]),
+                            key=lambda it: it[0].stamp, reverse=True)
+                        keep, s = copies[0]
+                        for de, ds in copies[1:]:
+                            del l3_idx[ds][set3][line]
+                            del rec[de]
+                            lazy3[ds] += 1
+                            if de.dirty:
+                                keep.dirty = True
+                        index3[line] = s
+                        del dups3[line]
+                    b = l3_idx[s][set3]
+                    entry = b.pop(line)
+                    b[line] = entry
+                    del rec[entry]
+                    rec[entry] = s
+            if entry is not None:
+                entry.stamp = stamp
+                h3[core][s] += 1
+                win, hlat = s, lat3
+                if notify_hit:
+                    hits3[core].add(line)
+            else:
+                # Main memory.  Fills cascade only while the parent level
+                # succeeded (a fully-offline group skips the lower levels
+                # too — inclusion).
+                miss3[core] += 1
+                c_mem[core] += 1
+                win = -1
+                if fill_l3(core, line, write, stamp) is None:
+                    if write:
+                        coherence(core, line, lat_mem)
+                    continue
+
+            # Fill L2: _fill_group placement with insert inlined and the
+            # residency map and recency index maintained.
+            o = ord2[core]
+            if not o:
+                if write:
+                    coherence(core, line,
+                              lat_mem if win < 0 else hlat[core][win])
+                continue
+            if g2 is None:
+                target = o[0]
+            else:
+                rec = recency2[set2]
+                if len(rec) == full2[core]:
+                    # Group set full: the recency index's first key is the
+                    # group-wide LRU victim, so skip the room scan.
+                    for victim in rec:
+                        break
+                    target = rec[victim]
+                else:
+                    # Some live slice has room, so this scan always succeeds.
+                    for target in o:
+                        if len(l2_idx[target][set2]) < w2:
+                            break
+                bucket2 = l2_idx[target][set2]
+            ins2[target] += 1
+            if len(bucket2) >= w2:
+                for v_line in bucket2:
+                    break
+                victim = bucket2.pop(v_line)
+                victim.line = line
+                victim.owner = core
+                victim.dirty = write
+                victim.stamp = victim.filled = stamp
+                bucket2[line] = victim
+                evi2[target] += 1
+                if g2 is not None:
+                    _group_index_remove(index2, dups2, v_line, target)
+                    index2[line] = target
+                    del rec[victim]
+                    rec[victim] = target
+                # _back_invalidate at L2: only the L1 holders must go.
+                holders = directory.get(v_line)
+                if holders:
+                    v_set1 = v_line & m1
+                    for hc in holders:
+                        l1_idx[hc][v_set1].pop(v_line, None)
+                    del directory[v_line]
+            else:
+                entry = new_entry(line, core, write, stamp)
+                bucket2[line] = entry
+                if g2 is not None:
+                    index2[line] = target
+                    rec[entry] = target
+
+        # Fill L1 (every non-L1-hit path; _fill_l1 inlined, entry
+        # recycling included).
+        if len(bucket1) >= w1:
+            for v_line in bucket1:
+                break
+            victim = bucket1.pop(v_line)
+            holders = directory.get(v_line)
+            if holders is not None:
+                holders.discard(core)
+                if not holders:
+                    del directory[v_line]
+            if victim.dirty:
+                # The write-back lands on the *first* copy in search order
+                # (same set, hence same partition) — not the freshest one;
+                # _fill_l1 probes in order and stops at the first hit.  A
+                # multi-slice group's residency map names the holders, so
+                # only duplicates need the search order.
+                if g2 is None:
+                    s = d2[core]
+                else:
+                    s = g2[0].get(v_line, -2)
+                    if s == -1:
+                        held = g2[1][v_line]
+                        for s in ord2[core]:
+                            if s in held:
+                                break
+                if s >= 0:
+                    l2e = l2_idx[s][v_line & m2].get(v_line)
+                    if l2e is not None:
+                        l2e.dirty = True
+            victim.line = line
+            victim.owner = core
+            victim.dirty = write
+            victim.stamp = victim.filled = stamp
+            bucket1[line] = victim
+        else:
+            bucket1[line] = new_entry(line, core, write, stamp)
+        holders = directory.get(line)
+        if holders is None:
+            directory[line] = {core}
+        else:
+            holders.add(core)
+            if write and len(holders) > 1:
+                coherence(core, line,
+                          lat_mem if win < 0 else hlat[core][win])
 
     # Flush: integer sums into the real stats, one exact reduction per timer.
     core_stats = hier.stats.cores
     l2_stats = hier._l2_slice_stats
     l3_stats = hier._l3_slice_stats
+    hit2 = [sum(col) for col in zip(*h2)]
+    hit3 = [sum(col) for col in zip(*h3)]
     for c in range(n_cores):
         if hit2[c] or miss2[c]:
             l2_stats[c].add_probe_counts(hits=hit2[c], misses=miss2[c])
@@ -1521,13 +1413,24 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             stats.evictions += evi3[c]
             stats.lazy_invalidations += lazy3[c]
     for core in active:
+        n1, nm = c_l1[core], c_mem[core]
+        m = ml[core]
+        latency_sum = n1 * lat_l1 + nm * lat_mem + lat_extra[core]
+        offchip = (n1 * int(lat_l1 >= m) + nm * int(lat_mem >= m)
+                   + off_extra[core])
+        for counts, lats in ((h2[core], lat2[core]), (h3[core], lat3[core])):
+            for n, latency in zip(counts, lats):
+                if n:
+                    latency_sum += n * latency
+                    offchip += n * int(latency >= m)
+        l2_local, l3_local = h2[core][core], h3[core][core]
         core_stats[core].add_access_counts(
-            accesses=n_accesses, l1_hits=c_l1[core],
-            l2_local_hits=c_l2l[core], l2_remote_hits=c_l2r[core],
-            l3_local_hits=c_l3l[core], l3_remote_hits=c_l3r[core],
-            memory_accesses=c_mem[core], memory_cycles=c_mem[core] * lat_mem)
+            accesses=n_accesses, l1_hits=n1,
+            l2_local_hits=l2_local, l2_remote_hits=sum(h2[core]) - l2_local,
+            l3_local_hits=l3_local, l3_remote_hits=sum(h3[core]) - l3_local,
+            memory_accesses=nm, memory_cycles=nm * lat_mem)
         timers[core].account_summary(n_accesses, gap_sums[core],
-                                     lat_sum[core], off[core])
+                                     latency_sum, offchip)
     _flush_hits(hier, active, hits2, hits3)
     _mark_group_clean(hier)
 

@@ -11,12 +11,20 @@ and demands identical observable behaviour at every step:
 - same hit/miss answer and same evicted line for every operation,
 - same ``entries()`` iteration order (the checkpoint digest hashes it),
 - same ``victim_candidate`` at every point.
+
+The slice keeps one recency dict per set and recovers fill order from each
+entry's ``filled`` key, so two further cases pin that order where it is
+easiest to lose: across an ``export_arrays``/``import_arrays`` round trip
+in the middle of the sequence, and under tree-PLRU, whose way indices are
+positions in the fill order (the reference drives its own
+``TreePlruPolicy`` on list positions).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caches.cache import CacheSlice
+from repro.caches.replacement import TreePlruPolicy
 
 
 class ReferenceSlice:
@@ -69,6 +77,35 @@ class ReferenceSlice:
         return [entry for ways in self._data for entry in ways]
 
 
+class ReferencePlruSlice(ReferenceSlice):
+    """The list-scan slice under tree-PLRU: way ``i`` is list position ``i``."""
+
+    def __init__(self, sets, ways):
+        super().__init__(sets, ways)
+        self.policy = TreePlruPolicy(sets, ways)
+
+    def touch(self, entry, stamp):
+        entry[3] = stamp
+        set_index = entry[0] & (self.sets - 1)
+        self.policy.touch(set_index, self._data[set_index].index(entry))
+
+    def insert(self, line, owner, dirty, stamp):
+        ways = self._set(line)
+        victim = self.victim_candidate(line)
+        if victim is not None:
+            ways.remove(victim)
+        ways.append([line, owner, dirty, stamp])
+        self.policy.touch(line & (self.sets - 1), len(ways) - 1)
+        return victim
+
+    def victim_candidate(self, line):
+        ways = self._set(line)
+        if len(ways) < self.ways:
+            return None
+        set_index = line & (self.sets - 1)
+        return ways[self.policy.victim(set_index, [e[3] for e in ways])]
+
+
 def _op_strategy():
     line = st.integers(0, 63)
     return st.lists(
@@ -81,6 +118,22 @@ def _op_strategy():
     )
 
 
+@st.composite
+def _ops_with_cut(draw):
+    """An op sequence plus the index of the op before which the slice is
+    rebuilt from its own export (always inside the sequence).
+
+    Mostly accesses over few distinct lines: the state must build up and
+    take hits (which reorder LRU recency and flip PLRU tree bits) before
+    the cut for fill order to be at stake.
+    """
+    kinds = ("access",) * 8 + ("invalidate", "flush")
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 15), st.booleans()),
+        min_size=1, max_size=200))
+    return ops, draw(st.integers(0, len(ops) - 1))
+
+
 def _as_tuple(entry):
     """(line, owner, dirty, stamp) for either model's entry, or None."""
     if entry is None:
@@ -90,15 +143,14 @@ def _as_tuple(entry):
     return (entry.line, entry.owner, entry.dirty, entry.stamp)
 
 
-@given(sets=st.sampled_from([1, 2, 4, 8]), ways=st.integers(1, 4),
-       ops=_op_strategy())
-@settings(max_examples=200, deadline=None)
-def test_dict_slice_matches_reference(sets, ways, ops):
-    slice_ = CacheSlice(sets, ways, replacement="lru")
-    ref = ReferenceSlice(sets, ways)
+def _drive(slice_, ref, ops, round_trip_at=None):
+    """Run ``ops`` on both models, comparing after every operation; before
+    op ``round_trip_at`` the slice is rebuilt from its own export."""
     stamp = 0  # strictly increasing, as the hierarchy guarantees
 
-    for op, line, write in ops:
+    for step, (op, line, write) in enumerate(ops):
+        if step == round_trip_at:
+            slice_.import_arrays(slice_.export_arrays())
         stamp += 1
         if op == "access":
             got = slice_.lookup(line)
@@ -130,3 +182,32 @@ def test_dict_slice_matches_reference(sets, ways, ops):
         assert slice_.occupancy() == len(ref.entries())
         for probe in range(64):
             assert (probe in slice_) == (ref.lookup(probe) is not None)
+
+
+@given(sets=st.sampled_from([1, 2, 4, 8]), ways=st.integers(1, 4),
+       ops=_op_strategy())
+@settings(max_examples=200, deadline=None)
+def test_dict_slice_matches_reference(sets, ways, ops):
+    _drive(CacheSlice(sets, ways, replacement="lru"),
+           ReferenceSlice(sets, ways), ops)
+
+
+@given(sets=st.sampled_from([1, 2, 4, 8]), ways=st.integers(1, 4),
+       ops_cut=_ops_with_cut())
+@settings(max_examples=200, deadline=None)
+def test_fill_order_survives_import_round_trip(sets, ways, ops_cut):
+    # Imported entries get fill ranks below every real stamp, so entries()
+    # order and every later victim still match the never-exported reference.
+    ops, cut = ops_cut
+    _drive(CacheSlice(sets, ways, replacement="lru"),
+           ReferenceSlice(sets, ways), ops, round_trip_at=cut)
+
+
+@given(sets=st.sampled_from([1, 2, 4, 8]), ways=st.sampled_from([1, 2, 4]),
+       ops_cut=_ops_with_cut(), round_trip=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_plru_slice_matches_list_reference(sets, ways, ops_cut, round_trip):
+    ops, cut = ops_cut
+    _drive(CacheSlice(sets, ways, replacement="plru"),
+           ReferencePlruSlice(sets, ways), ops,
+           round_trip_at=cut if round_trip else None)

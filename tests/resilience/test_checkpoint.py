@@ -48,6 +48,20 @@ class TestStateDigest:
             digests.append(state_digest(system))
         assert digests[0] == digests[1]
 
+    def test_digest_covers_plru_tree_bits(self, workload):
+        # Entries alone do not fix a PLRU slice's future victims: two
+        # hierarchies equal in every entry but one tree bit must differ.
+        config = CFG.with_(replacement="plru")
+        systems = [build_system("(4:4:1)", config, workload, seed=1)
+                   for _ in range(2)]
+        for system in systems:
+            for line in range(100):
+                system.access(line % config.cores, line, line % 3 == 0)
+        assert state_digest(systems[0]) == state_digest(systems[1])
+        bits = systems[1].hierarchy.l2s[2].policy._bits
+        bits[1][0] ^= 1
+        assert state_digest(systems[0]) != state_digest(systems[1])
+
     def test_baseline_without_hierarchy_digests_misses(self, workload):
         system = build_system("pipp", CFG, workload, seed=1)
         for line in range(50):

@@ -83,9 +83,11 @@ from repro.serve.recovery import recover_state
 from repro.sim.supervisor import SweepJournal, result_from_json
 
 #: Modules the job forkserver imports once, so job children fork with
-#: them loaded: ``job_process_main`` and everything ``_run_spec`` reaches.
+#: them loaded: ``job_process_main`` and everything ``_run_spec`` reaches
+#: (numpy loads ``numpy.random`` lazily, on the first generator built).
 JOB_PRELOAD = ("repro.serve.jobs", "repro.sim.supervisor",
-               "repro.sim.experiment", "repro.sim.engine", "repro.sim.batch")
+               "repro.sim.experiment", "repro.sim.engine", "repro.sim.batch",
+               "numpy.random")
 
 #: Written next to the state dir's jobs/ once the socket is bound, so
 #: clients (and tests) can discover the actual port of a ``--port 0`` bind.
@@ -119,6 +121,10 @@ class ServiceConfig:
     """Crash-restarts granted to one job before it is failed for good."""
 
     poll_interval: float = 0.05
+    """Process mode: the scheduler's backstop (passes run on admission,
+    job exits, drains and deadlines).  Pool mode: the observation tick.
+    SSE progress streams poll their job's files every two intervals."""
+
     max_body_bytes: int = 1 << 20
     ring_size: int = 4096
     """Per-job SSE ring buffer capacity (oldest records drop first)."""
@@ -418,6 +424,7 @@ class SimulationService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._scheduler_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
+        self._wake: Optional[asyncio.Event] = None
         self._pool: Optional[SharedPool] = None
         self._worker_procs: List[Optional[subprocess.Popen]] = []
         self._worker_respawns: List[int] = []
@@ -470,6 +477,7 @@ class SimulationService:
                            "Wall clock of finished jobs")
         self._update_gauges()
         self._stopped = asyncio.Event()
+        self._wake = asyncio.Event()
 
         recovery = recover_state(self.state_dir)
         self._seq = recovery.next_seq
@@ -538,6 +546,7 @@ class SimulationService:
         for job in self._running.values():
             if job.process is not None and job.process.is_alive():
                 job.process.terminate()
+        self._wake.set()
 
     async def _shutdown(self) -> None:
         for proc in self._worker_procs:
@@ -561,7 +570,17 @@ class SimulationService:
     # -- the scheduler -------------------------------------------------------
 
     async def _scheduler(self) -> None:
+        """Dispatch loop.
+
+        Process mode is event-driven: a pass runs when :attr:`_wake` is
+        set (admission, a job child's exit, the start of a drain) or when
+        the nearest watchdog deadline or drain escalation falls due, and
+        at least every ``poll_interval`` as a backstop.  Each pass reaps
+        exited children before it launches, so a freed slot is refilled
+        in the same pass.  Pool mode observes the shared pool on a tick.
+        """
         while True:
+            self._wake.clear()
             try:
                 if self._pool is not None:
                     self._poll_pool()
@@ -571,9 +590,9 @@ class SimulationService:
                         self._stopped.set()
                         return
                 else:
+                    self._poll_running()
                     if self.state == "ready":
                         self._launch_ready()
-                    self._poll_running()
                     self._update_gauges()
                     if self.state == "draining" and not self._running:
                         self._stopped.set()
@@ -581,7 +600,29 @@ class SimulationService:
             except Exception as exc:  # keep the scheduler alive, always
                 print(f"scheduler error: {type(exc).__name__}: {exc}",
                       file=sys.stderr, flush=True)
-            await asyncio.sleep(self.config.poll_interval)
+            if self._pool is not None:
+                await asyncio.sleep(self.config.poll_interval)
+                continue
+            try:
+                await asyncio.wait_for(self._wake.wait(),
+                                       timeout=self._wake_timeout())
+            except asyncio.TimeoutError:
+                pass
+
+    def _wake_timeout(self) -> float:
+        """Seconds until the next timed action of a process-mode pass:
+        the nearest unfired watchdog deadline or the pending drain
+        escalation, capped at ``poll_interval``."""
+        now = asyncio.get_running_loop().time()
+        due = [job.deadline for job in self._running.values()
+               if job.deadline is not None and not job.watchdog_fired]
+        if self._drain_started is not None:
+            escalate = self._drain_started + self.config.drain_grace
+            if escalate > now:  # once escalated, child exits wake the pass
+                due.append(escalate)
+        if not due:
+            return self.config.poll_interval
+        return min(self.config.poll_interval, max(min(due) - now, 0.0))
 
     def _launch_ready(self) -> None:
         while len(self._running) < self.config.max_concurrent_jobs:
@@ -604,8 +645,16 @@ class SimulationService:
             target=job_process_main,
             args=(job.spec.payload(), str(job.job_dir), job.resume))
         job.process.start()
+        # The sentinel turns readable when the child exits: wake the
+        # scheduler to reap it.  One-shot; _finalize removes it too.
+        sentinel = job.process.sentinel
+        loop.add_reader(sentinel, self._child_exited, sentinel)
         self._running[job.id] = job
         self._stream_for(job).start()
+
+    def _child_exited(self, sentinel: int) -> None:
+        asyncio.get_running_loop().remove_reader(sentinel)
+        self._wake.set()
 
     def _poll_running(self) -> None:
         loop = asyncio.get_running_loop()
@@ -620,7 +669,7 @@ class SimulationService:
             elif (job.deadline is not None and now >= job.deadline
                   and not job.watchdog_fired):
                 job.watchdog_fired = True
-                _kill_job_tree(process)  # finalized on the next poll
+                _kill_job_tree(process)  # its exit wakes the reaping pass
             elif (self._drain_started is not None
                   and now >= self._drain_started + self.config.drain_grace):
                 # The drain's SIGTERM went unanswered: escalate.  The
@@ -741,6 +790,8 @@ class SimulationService:
             return False
 
     def _finalize(self, job: Job, exitcode: Optional[int]) -> None:
+        # Before the Process can be collected and its sentinel fd closed.
+        asyncio.get_running_loop().remove_reader(job.process.sentinel)
         del self._running[job.id]
         self.queue.release(job.tenant)
         job.process = None
@@ -849,6 +900,7 @@ class SimulationService:
         self.jobs[job.id] = job
         REGISTRY.counter("repro_serve_submissions_total",
                          "Jobs admitted into the queue").inc()
+        self._wake.set()
         return job
 
     def _submit_pool(self, spec: JobSpec) -> Job:

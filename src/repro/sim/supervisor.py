@@ -33,9 +33,12 @@ climbs a supervision ladder per run:
 
 A worker that *dies* (``BrokenProcessPool``) or raises ``MemoryError``
 surfaces as a typed :class:`~repro.resilience.errors.WorkerCrashError`.  A
-broken pool cannot attribute the crash to one run, so every in-flight run
-is charged one failure and the pool is rebuilt; innocent runs succeed on
-retry while a genuinely poisonous spec keeps crashing until quarantined.
+broken pool cannot say which run killed its worker, so only attributable
+crashes are charged: a run that breaks the pool while it is the only run
+lost is charged one failure; when several runs are lost together, none is
+charged and each becomes a *suspect* that is rerun alone, so the poisonous
+one breaks its pool alone and is charged, and innocents are never
+quarantined for sharing a pool with it.  The pool is rebuilt either way.
 
 **Journal.**  With ``journal=PATH`` every completed run is appended to a
 crash-safe JSONL journal: one self-contained line per record, written with
@@ -75,7 +78,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.obs import metrics as obs_metrics
 from repro.resilience.checkpoint import epoch_from_json, epoch_to_json
@@ -869,12 +872,16 @@ def run_supervised(
 
     pending = deque(o.index for o in outcomes if o.status == "pending")
     release: Dict[int, float] = {}  # index -> monotonic backoff release time
+    # Runs lost together in a pool break: rerun one at a time, uncharged,
+    # until an attempt of each settles (succeeds or is charged).
+    suspects: Set[int] = set()
     inflight: Dict[Any, tuple] = {}  # future -> (index, started, deadline)
     pool: Optional[ProcessPoolExecutor] = None
     t_start = time.monotonic()
 
     def fail(index: int, exc: BaseException, elapsed: float) -> None:
         """Charge one failed attempt; retry with backoff or quarantine."""
+        suspects.discard(index)
         outcome = outcomes[index]
         outcome.attempts += 1
         outcome.elapsed += elapsed
@@ -903,6 +910,7 @@ def run_supervised(
             pending.append(index)
 
     def succeed(index: int, result: RunResult, elapsed: float) -> None:
+        suspects.discard(index)
         outcome = outcomes[index]
         outcome.attempts += 1
         outcome.elapsed += elapsed
@@ -930,9 +938,12 @@ def run_supervised(
                 now = time.monotonic()
                 # Submit, at most one attempt per worker slot: every
                 # submitted future is genuinely *executing*, which is what
-                # makes its wall-clock deadline meaningful.
+                # makes its wall-clock deadline meaningful.  While suspects
+                # of a pool break remain (at the head of the queue), runs
+                # go one at a time.
+                limit = 1 if suspects else jobs
                 while (drain.received is None and pending
-                       and len(inflight) < jobs):
+                       and len(inflight) < limit):
                     index = _pop_eligible(pending, release, now)
                     if index is None:
                         break
@@ -945,7 +956,19 @@ def run_supervised(
                             max_workers=jobs,
                             mp_context=multiprocessing.get_context("fork"),
                             initializer=_bind_worker_to_parent)
-                    future = pool.submit(run, specs[index])
+                    try:
+                        future = pool.submit(run, specs[index])
+                    except BrokenProcessPool:
+                        # A worker died since the last submission.  This
+                        # run never started: requeue it uncharged.  The
+                        # break surfaces through the in-flight futures;
+                        # with none, nothing else will, so drop the pool.
+                        pending.appendleft(index)
+                        if inflight:
+                            break
+                        _kill_pool(pool)
+                        pool = None
+                        continue
                     deadline = (now + policy.run_timeout
                                 if policy.run_timeout else None)
                     inflight[future] = (index, now, deadline)
@@ -962,7 +985,7 @@ def run_supervised(
                 done, _ = wait(set(inflight), timeout=policy.poll_interval,
                                return_when=FIRST_COMPLETED)
                 now = time.monotonic()
-                pool_broken = False
+                lost: List[tuple] = []  # (index, elapsed) of a pool break
                 for future in done:
                     index, started, _ = inflight.pop(future)
                     elapsed = now - started
@@ -971,25 +994,39 @@ def run_supervised(
                         succeed(index, future.result(), elapsed)
                         continue
                     if isinstance(exc, BrokenProcessPool):
-                        # The dead worker cannot be attributed to one run:
-                        # every in-flight run is charged, the poison one
-                        # keeps crashing until quarantined, innocents
-                        # recover on retry.
-                        pool_broken = True
-                        spec = specs[index]
-                        exc = WorkerCrashError(
-                            f"worker process died while running "
-                            f"{spec.scheme} on {spec.workload.name} "
-                            f"(run {index}): {type(exc).__name__}")
-                    elif isinstance(exc, MemoryError):
+                        lost.append((index, elapsed))
+                        continue
+                    if isinstance(exc, MemoryError):
                         exc = WorkerCrashError(
                             f"worker ran out of memory on run {index} "
                             f"({specs[index].scheme} on "
                             f"{specs[index].workload.name})")
                     fail(index, exc, elapsed)
-                if pool_broken and pool is not None:
-                    _kill_pool(pool)
-                    pool = None
+                if lost:
+                    # A break fails every in-flight future; collect those
+                    # wait() has not returned yet (salvaging any that
+                    # finished before the break).
+                    for future, (index, started, _) in list(inflight.items()):
+                        del inflight[future]
+                        if future.done() and future.exception() is None:
+                            succeed(index, future.result(), now - started)
+                        else:
+                            lost.append((index, now - started))
+                    if pool is not None:
+                        _kill_pool(pool)
+                        pool = None
+                    if len(lost) == 1:
+                        # Alone in the break: the crash is this run's.
+                        index, elapsed = lost[0]
+                        spec = specs[index]
+                        fail(index, WorkerCrashError(
+                            f"worker process died while running "
+                            f"{spec.scheme} on {spec.workload.name} "
+                            f"(run {index}): BrokenProcessPool"), elapsed)
+                    else:
+                        for index, _ in sorted(lost, reverse=True):
+                            suspects.add(index)
+                            pending.appendleft(index)  # no charge
 
                 # Hang detection: an overdue, still-running future means
                 # its worker is wedged.  Kill the pool, charge the overdue

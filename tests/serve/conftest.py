@@ -16,20 +16,35 @@ import time
 REPO = pathlib.Path(__file__).parents[2]
 
 
-def start_service(state_dir, *extra, wait_ready=True, timeout=60.0):
-    """Boot ``repro serve`` on an OS-assigned port; returns (proc, client)."""
+def _boot(argv, state_dir, wait_ready, timeout):
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(REPO / "src") + os.pathsep
                          + env.get("PYTHONPATH", ""))
     env.pop("REPRO_JOBS", None)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--state-dir", str(state_dir), "--port", "0", *extra],
-        env=env, cwd=str(REPO), start_new_session=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        [sys.executable, *argv], env=env, cwd=str(REPO),
+        start_new_session=True, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
     if not wait_ready:
         return proc, None
     return proc, wait_for_ready(state_dir, proc, timeout=timeout)
+
+
+def start_service(state_dir, *extra, wait_ready=True, timeout=60.0):
+    """Boot ``repro serve`` on an OS-assigned port; returns (proc, client)."""
+    return _boot(["-m", "repro", "serve", "--state-dir", str(state_dir),
+                  "--port", "0", *extra], state_dir, wait_ready, timeout)
+
+
+def start_service_with(state_dir, timeout=60.0, **config):
+    """Boot ``run_service(ServiceConfig(...))`` directly on an OS-assigned
+    port, for config fields ``repro serve`` has no flag for (such as
+    ``poll_interval``); returns (proc, client)."""
+    code = ("import sys\n"
+            "from repro.serve.app import ServiceConfig, run_service\n"
+            f"sys.exit(run_service(ServiceConfig(state_dir={str(state_dir)!r},"
+            f" port=0, **{config!r})))\n")
+    return _boot(["-c", code], state_dir, True, timeout)
 
 
 def wait_for_ready(state_dir, proc=None, timeout=60.0):

@@ -1,10 +1,14 @@
 """Tests for the service's job model: validation, round-trips, layout."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.resilience.errors import ConfigError
+from repro.serve.app import JOB_PRELOAD
 from repro.serve.jobs import (
     Job,
     JobSpec,
@@ -16,6 +20,30 @@ from repro.serve.jobs import (
 )
 
 GOOD = {"tenant": "alice", "workload": "MIX 01"}
+
+REPO = pathlib.Path(__file__).parents[2]
+
+#: Imports the modules named on the command line (as the job forkserver
+#: does), then runs one job's simulation path; prints the repro/numpy
+#: modules that path still had to import.
+_PRELOAD_PROBE = """
+import sys
+
+for name in sys.argv[2:]:
+    __import__(name)
+before = set(sys.modules)
+
+from repro.serve.jobs import JobSpec
+from repro.sim.parallel import _run_spec
+
+for scheme in ("morphcache", "(16:1:1)"):
+    spec = JobSpec.from_payload(
+        {"tenant": "t", "workload": "MIX 01", "scheme": scheme})
+    for run in spec.to_runspecs(sys.argv[1]):
+        _run_spec(run)
+print(" ".join(sorted(name for name in set(sys.modules) - before
+                      if name.split(".")[0] in ("repro", "numpy"))))
+"""
 
 
 def _spec(**overrides):
@@ -101,6 +129,19 @@ class TestRoundTrip:
     def test_trace_off_means_no_trace_paths(self, tmp_path):
         specs = _spec(trace=False).to_runspecs(tmp_path)
         assert all(s.trace_path is None for s in specs)
+
+
+def test_forkserver_preload_covers_the_job_simulation_path(tmp_path):
+    # Job children fork from a forkserver that imported JOB_PRELOAD once;
+    # any module the simulation path imports lazily on top of that is
+    # paid again by every job.  Traces are on, as for a real job.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", _PRELOAD_PROBE, str(tmp_path), *JOB_PRELOAD],
+        env=env, cwd=str(REPO), capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == []
+    assert sorted(tmp_path.glob("trace_*.jsonl"))  # the traced path ran
 
 
 class TestDurableLayout:

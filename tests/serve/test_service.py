@@ -27,6 +27,7 @@ from tests.serve.conftest import (
     kill_group,
     process_table,
     start_service,
+    start_service_with,
     wait_for_journal_run,
     wait_gone,
 )
@@ -290,6 +291,58 @@ class TestWatchdogAndDrain:
         proc, client = start_service(tmp_path)
         try:
             assert drain(proc) == 0
+        finally:
+            kill_group(proc)
+
+
+class TestEventDrivenDispatch:
+    """Dispatch reacts to events, not to the ``poll_interval`` tick.
+
+    Each service here runs with a 30 s backstop tick: anything that waited
+    for the tick would take minutes, so finishing within the bounds below
+    shows that admission, child exits, watchdog deadlines and drains each
+    wake the scheduler themselves.
+    """
+
+    def test_freed_slot_is_refilled_without_waiting_for_the_tick(
+            self, tmp_path):
+        proc, client = start_service_with(tmp_path, max_concurrent_jobs=1,
+                                          poll_interval=30.0)
+        try:
+            start = time.monotonic()
+            ids = [client.submit(tenant="alice",
+                                 **dict(FAST_JOB, seed=seed))["job"]["id"]
+                   for seed in (1, 2)]
+            first, second = [client.wait_for_state(job_id, TERMINAL,
+                                                   timeout=20)
+                             for job_id in ids]
+            assert time.monotonic() - start < 20
+            assert [first["state"], second["state"]] == ["done", "done"]
+            assert second["started_order"] > first["started_order"]
+        finally:
+            kill_group(proc)
+
+    def test_watchdog_and_drain_wake_the_scheduler(self, tmp_path):
+        proc, client = start_service_with(tmp_path, max_concurrent_jobs=1,
+                                          poll_interval=30.0)
+        try:
+            # Warm the forkserver first: its one-off preload would
+            # otherwise eat into the watchdog's one second.
+            warm = client.submit(tenant="alice", **FAST_JOB)
+            client.wait_for_state(warm["job"]["id"], TERMINAL, timeout=20)
+            start = time.monotonic()
+            overdue = client.submit(tenant="alice", max_seconds=1.0,
+                                    **LONG_JOB)
+            tree = wait_for_job_tree(proc.pid, timeout=15)
+            status = client.wait_for_state(overdue["job"]["id"], TERMINAL,
+                                           timeout=15)
+            assert time.monotonic() - start < 15
+            assert status["state"] == "failed"
+            assert status["error"]["type"] == "JobTimeoutError"
+            assert wait_gone(tree) == []
+            # Idle now: the drain's own wake ends the service at once.
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 0
         finally:
             kill_group(proc)
 

@@ -76,6 +76,8 @@ def _scripted_worker(spec):
         os.kill(os.getpid(), signal.SIGKILL)
     if scheme == "hang":
         time.sleep(600)
+    if scheme.startswith("sleep:"):
+        time.sleep(float(scheme.split(":", 1)[1]))
     if scheme == "fail":
         raise RuntimeError("scripted failure")
     if scheme == "oom":
@@ -154,6 +156,22 @@ def test_worker_sigkill_quarantined_others_intact():
     assert "worker process died" in report.outcomes[1].error
     for index in (0, 2, 3):
         assert report.results[index].epochs[0].misses == {0: index}
+
+
+def test_pool_break_never_quarantines_an_innocent_in_flight_run():
+    # Both runs are in flight when "die" kills its worker, so the break
+    # fails both futures.  With no retries, charging every in-flight run
+    # would quarantine the innocent sleeper too; rerunning the suspects
+    # one at a time pins the crash on the run that caused it.
+    specs = _specs(["die", "sleep:0.5"])
+    report = run_supervised(specs, jobs=2,
+                            policy=SweepPolicy(retries=0, **FAST),
+                            worker=_scripted_worker)
+    assert report.quarantined == [0]
+    assert report.succeeded == [1]
+    assert report.outcomes[1].attempts == 1
+    assert isinstance(report.outcomes[0].exception, WorkerCrashError)
+    assert report.results[1].epochs[0].misses == {0: 1}
 
 
 def test_worker_memoryerror_translated_to_crash():

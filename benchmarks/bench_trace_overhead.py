@@ -1,9 +1,7 @@
 """Trace-overhead benchmark: the observability layer must be free when off.
 
 Times full ``simulate()`` runs (morphcache on MIX 01, the shared bench
-config) on the event engine, named explicitly because ``simulate``
-defaults to the batch engine and the committed ``BENCH_trace.json``
-measures the event engine, three ways:
+config) on the default batch engine — the path users run — three ways:
 
 - ``off`` — no tracer, registry disabled;
 - ``trace`` — a :class:`~repro.obs.trace.TraceRecorder` writing JSONL;
@@ -12,12 +10,12 @@ measures the event engine, three ways:
 All trace/metrics hook sites sit on epoch (or coarser) boundaries, so the
 *on* overhead should be a few percent and the *off* path should be
 indistinguishable from a tree without the observability layer — the CI
-``trace-overhead`` job checks the latter by re-running the hot-path
-benchmark and comparing against the committed ``BENCH_hotpath.json`` at a
-2% threshold.  Output goes to ``benchmarks/results/trace_overhead.txt``
-and ``BENCH_trace.json`` at the repo root; the traced runs' results are
-also asserted identical to the untraced run's (observation must not
-perturb the simulation).
+``trace-overhead`` job checks the latter by comparing the fresh
+``BENCH_trace.json`` against the committed one at a 2% threshold.
+Output goes to ``benchmarks/results/trace_overhead.txt`` and
+``BENCH_trace.json`` at the repo root; the traced runs' results are also
+asserted identical to the untraced run's (observation must not perturb the
+simulation).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ def _one_run(trace_path=None, metrics=False):
     try:
         start = time.perf_counter()
         result = simulate(system, workload, BENCH_CONFIG, seed=SEED,
-                          engine="event", tracer=tracer)
+                          tracer=tracer)
         elapsed = time.perf_counter() - start
     finally:
         if metrics:
@@ -94,12 +92,11 @@ def test_trace_overhead(benchmark):
     table = format_rows(["mode", "acc/s", "overhead vs off"], rows)
     report("trace_overhead",
            "Observability overhead: simulate() accesses/second by mode "
-           "(morphcache, MIX 01, small preset, event engine, seed 2011, "
+           "(morphcache, MIX 01, small preset, batch engine, seed 2011, "
            f"best of {PASSES})\n{table}\n\n"
-           "The off row is the untraced event-engine path; the CI "
-           "trace-overhead job additionally holds the event engine's "
-           "untraced hot loop within 2% of the committed "
-           "BENCH_hotpath.json baseline.")
+           "The off row is the untraced default path; the CI "
+           "trace-overhead job additionally holds it within 2% of the "
+           "committed BENCH_trace.json baseline.")
 
     JSON_PATH.write_text(json.dumps({
         "config": "SMALL(accesses_per_core_per_epoch=2000, epochs=3)",
@@ -113,6 +110,7 @@ def test_trace_overhead(benchmark):
 
     # Epoch-boundary hooks only: tracing a run must never cost a large
     # fraction of it.  Loose floor (the job is non-gating; shared runners
-    # are noisy) — the real 2% off-path check is the hot-path comparison.
+    # are noisy) — the real 2% off-path check is the committed-baseline
+    # comparison in CI.
     assert rates["trace"] >= 0.5 * rates["off"], rates
     assert rates["trace+metrics"] >= 0.5 * rates["off"], rates

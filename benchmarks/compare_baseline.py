@@ -22,7 +22,7 @@ private/merged/shared speedups this way so neither the per-core nor the
 slice-group kernel can silently lose its advantage.  Without ``--gate`` the script always exits 0.  The
 trace-overhead smoke job passes ``--threshold 0.02``: the observability
 layer's contract is that the disabled path stays within 2% of the
-committed hot-path baseline.
+committed ``BENCH_trace.json`` baseline.
 """
 
 from __future__ import annotations

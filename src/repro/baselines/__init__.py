@@ -6,8 +6,6 @@
   (Xie & Loh [28]) extended to both L2 and L3 (Figure 17).
 - :mod:`~repro.baselines.dsr` — dynamic spill-receive (Qureshi [18])
   extended to both levels (Figure 17).
-- :mod:`~repro.baselines.ucp` — strict utility-based cache partitioning
-  (Qureshi & Patt [20]), the ablation point between shared LRU and PIPP.
 - :mod:`~repro.baselines.offline_ideal` — the per-epoch-best static oracle
   of Figure 15.
 """
@@ -15,7 +13,6 @@
 from repro.baselines.static_topologies import STATIC_LABELS, BASELINE_LABEL
 from repro.baselines.pipp import PippCache, PippSystem, UtilityMonitor, lookahead_partition
 from repro.baselines.dsr import DsrLevel, DsrSystem
-from repro.baselines.ucp import UcpCache, UcpSystem
 from repro.baselines.offline_ideal import ideal_offline
 
 __all__ = [
@@ -27,7 +24,5 @@ __all__ = [
     "lookahead_partition",
     "DsrLevel",
     "DsrSystem",
-    "UcpCache",
-    "UcpSystem",
     "ideal_offline",
 ]

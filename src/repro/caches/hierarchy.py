@@ -28,6 +28,11 @@ machinery entirely, and observer dispatch is skipped per hook when the
 installed observer inherits the default no-op implementation.  All of this
 is bit-identical to the straightforward path — the golden-determinism test
 and checkpoint digests pin that down.
+
+:meth:`CacheHierarchy.access` is the event engine's only access path and
+the reference the batch kernels (``repro.sim.batch``) are tested against.
+No method is bound on the instance, so a hierarchy is freed by reference
+counting as soon as its run lets go of it.
 """
 
 from __future__ import annotations
@@ -116,12 +121,7 @@ class CacheHierarchy:
                     for i in range(n)]
         self.stats = HierarchyStats.for_machine(n)
         self._core_stats = [self.stats.cores[i] for i in range(n)]
-        # config is frozen: hoist the latency chain and the hot constants.
-        self._lat = lat = config.latency
-        self._lat_l1 = lat.l1_hit
-        self._lat_l2_local = lat.l2_local_hit
-        self._lat_l3_local = lat.l3_local_hit
-        self._lat_mem = lat.memory
+        lat = config.latency
         self._stamp = 0
         self.bus_penalty = 0
         """Extra cycles a remote (merged) hit pays while a bus fault stalls
@@ -238,22 +238,13 @@ class CacheHierarchy:
                     binding.fast[slice_id] = (
                         binding.slices[slice_id]
                         if order == (slice_id,) else None)
-        # The all-private monolithic fast path: valid for a core when both
-        # levels are singleton-local and replacement is true LRU (the inline
-        # code implements recency-dict LRU only).
-        lru = self.config.replacement == "lru"
-        self._private_fast = [
-            lru
-            and self._l2_binding.fast[core] is not None
-            and self._l3_binding.fast[core] is not None
-            for core in range(self.config.cores)
-        ]
-        # When *every* core is private-fast, shadow the class's ``access``
-        # with the fast path directly (one call frame less per access).
-        if all(self._private_fast):
-            self.access = self._access_private
-        else:
-            self.__dict__.pop("access", None)
+        # The batch engine's all-private kernel needs every core's L2 and L3
+        # order to be its own slice alone, and true LRU (it implements
+        # recency-dict LRU only).
+        self._all_private_fast = (
+            self.config.replacement == "lru"
+            and all(fast is not None for fast in self._l2_binding.fast)
+            and all(fast is not None for fast in self._l3_binding.fast))
 
     # -- fault support -----------------------------------------------------
 
@@ -356,13 +347,13 @@ class CacheHierarchy:
 
     @property
     def all_private_fast(self) -> bool:
-        """True when every core takes the monolithic private fast path.
+        """True when every core's search orders are its own slices alone.
 
         This is the precondition for the batch engine's specialised
         all-private kernel (``repro.sim.batch``): singleton local groups at
         both levels, true LRU, no fault-disabled slices in any core's path.
         """
-        return all(self._private_fast)
+        return self._all_private_fast
 
     @property
     def partition_sets(self) -> int:
@@ -441,8 +432,6 @@ class CacheHierarchy:
 
     def access(self, core: int, line: int, write: bool = False) -> AccessResult:
         """Issue one reference from ``core``; returns level and latency."""
-        if self._private_fast[core]:
-            return self._access_private(core, line, write)
         self._stamp += 1
         stamp = self._stamp
         lat = self.config.latency
@@ -502,168 +491,6 @@ class CacheHierarchy:
         if write:
             total += self._invalidate_other_l1s(core, line)
         return AccessResult(total, "mem", False)
-
-    def _access_private(self, core: int, line: int, write: bool = False) -> AccessResult:
-        """The all-private (singleton local groups, true LRU) access path.
-
-        Semantically identical to the general path below, with the slice
-        operations inlined: each level is one dict probe, a hit is a
-        recency-dict re-append, and a fill's LRU victim is the dict head.
-        The golden-determinism test and the checkpoint digests pin the
-        bit-identical claim.
-        """
-        self._stamp += 1
-        stamp = self._stamp
-        core_stats = self._core_stats[core]
-        core_stats.accesses += 1
-
-        # L1 probe (recency-dict hit).
-        l1 = self.l1s[core]
-        bucket = l1._index[line & l1._set_mask]
-        entry = bucket.get(line)
-        if entry is not None:
-            entry.stamp = stamp
-            del bucket[line]
-            bucket[line] = entry
-            core_stats.l1_hits += 1
-            latency = self._lat_l1
-            if write:
-                entry.dirty = True
-                # A holder set of exactly {core} (the common private case)
-                # needs no coherence work; core is a holder by inclusion.
-                holders = self._l1_directory.get(line)
-                if holders is not None and len(holders) > 1:
-                    latency += self._invalidate_other_l1s(core, line)
-            return AccessResult(latency, "l1", False)
-
-        # L2 probe.
-        l2 = self.l2s[core]
-        bucket = l2._index[line & l2._set_mask]
-        entry = bucket.get(line)
-        if entry is not None:
-            entry.stamp = stamp
-            del bucket[line]
-            bucket[line] = entry
-            self._l2_slice_stats[core].hits += 1
-            core_stats.l2_local_hits += 1
-            if self._notify_hit:
-                self._observer.on_hit(L2, core, core, line)
-            self._fill_l1_private(l1, l2, core, line, write, stamp)
-            total = self._lat_l2_local
-            if write:
-                holders = self._l1_directory.get(line)
-                if holders is not None and len(holders) > 1:
-                    total += self._invalidate_other_l1s(core, line)
-            return AccessResult(total, "l2", False)
-        self._l2_slice_stats[core].misses += 1
-
-        # L3 probe.
-        l3 = self.l3s[core]
-        bucket = l3._index[line & l3._set_mask]
-        entry = bucket.get(line)
-        if entry is not None:
-            entry.stamp = stamp
-            del bucket[line]
-            bucket[line] = entry
-            self._l3_slice_stats[core].hits += 1
-            core_stats.l3_local_hits += 1
-            if self._notify_hit:
-                self._observer.on_hit(L3, core, core, line)
-            self._fill_private(self._l2_binding, l2, core, line, write, stamp)
-            self._fill_l1_private(l1, l2, core, line, write, stamp)
-            total = self._lat_l3_local
-            if write:
-                holders = self._l1_directory.get(line)
-                if holders is not None and len(holders) > 1:
-                    total += self._invalidate_other_l1s(core, line)
-            return AccessResult(total, "l3", False)
-        self._l3_slice_stats[core].misses += 1
-
-        # Main memory; fills cascade down the private slices.
-        core_stats.memory_accesses += 1
-        core_stats.memory_cycles += self._lat_mem
-        total = self._lat_mem
-        self._fill_private(self._l3_binding, l3, core, line, write, stamp)
-        self._fill_private(self._l2_binding, l2, core, line, write, stamp)
-        self._fill_l1_private(l1, l2, core, line, write, stamp)
-        if write:
-            holders = self._l1_directory.get(line)
-            if holders is not None and len(holders) > 1:
-                total += self._invalidate_other_l1s(core, line)
-        return AccessResult(total, "mem", False)
-
-    def _fill_l1_private(self, l1: CacheSlice, l2: CacheSlice, core: int,
-                         line: int, write: bool, stamp: int) -> None:
-        """:meth:`_fill_l1` with the L1 insert and the singleton-L2 dirty
-        writeback inlined (the private path's L2 order is ``(core,)``).
-
-        The evicted entry object is recycled as the new entry (its fields
-        are all overwritten) to avoid an allocation per fill; the victim's
-        line/dirtiness are captured first.
-        """
-        bucket = l1._index[line & l1._set_mask]
-        directory = self._l1_directory
-        if len(bucket) >= l1.ways:
-            victim = next(iter(bucket.values()))
-            victim_line = victim.line
-            del bucket[victim_line]
-            holders = directory.get(victim_line)
-            if holders is not None:
-                holders.discard(core)
-                if not holders:
-                    del directory[victim_line]
-            if victim.dirty:
-                l2_entry = l2._index[victim_line & l2._set_mask].get(victim_line)
-                if l2_entry is not None:
-                    l2_entry.dirty = True
-            entry = victim  # recycle
-            entry.line = line
-            entry.owner = core
-            entry.dirty = write
-            entry.stamp = entry.filled = stamp
-        else:
-            entry = Entry(line, core, write, stamp)
-        bucket[line] = entry
-        holders = directory.get(line)
-        if holders is None:
-            directory[line] = {core}
-        else:
-            holders.add(core)
-
-    def _fill_private(self, binding: _LevelBinding, slice_: CacheSlice,
-                      core: int, line: int, write: bool, stamp: int) -> None:
-        """Singleton-group fill with the slice's insert inlined (LRU only).
-
-        The evicted entry object is recycled as the new entry to avoid an
-        allocation per fill; its line/owner are captured first for the
-        eviction bookkeeping that runs after the insert.
-        """
-        bucket = slice_._index[line & slice_._set_mask]
-        victim_line = -1
-        victim_owner = -1
-        if len(bucket) >= slice_.ways:
-            victim = next(iter(bucket.values()))
-            victim_line = victim.line
-            victim_owner = victim.owner
-            del bucket[victim_line]
-            entry = victim  # recycle
-            entry.line = line
-            entry.owner = core
-            entry.dirty = write
-            entry.stamp = entry.filled = stamp
-        else:
-            entry = Entry(line, core, write, stamp)
-        bucket[line] = entry
-        stats = binding.stats[core]
-        stats.insertions += 1
-        if self._notify_fill:
-            self._observer.on_fill(binding.name, core, core, line)
-        if victim_line >= 0:
-            stats.evictions += 1
-            if self._notify_evict:
-                self._observer.on_evict(binding.name, core, victim_line,
-                                        victim_owner)
-            self._back_invalidate(binding.name, core, victim_line)
 
     # -- group mechanics ---------------------------------------------------
 

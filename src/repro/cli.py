@@ -116,7 +116,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         print(f"  {mix.name}  type {mix.type_counts}")
     print(f"\nPARSEC: {', '.join(sorted(PARSEC_BENCHMARKS))}")
     print(f"\nSPEC (for alone:<name>): {', '.join(sorted(SPEC_BENCHMARKS))}")
-    print(f"\nschemes: morphcache, pipp, dsr, ucp, {', '.join(STATIC_LABELS)}")
+    print(f"\nschemes: morphcache, pipp, dsr, {', '.join(STATIC_LABELS)}")
     return 0
 
 

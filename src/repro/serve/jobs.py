@@ -56,7 +56,7 @@ ERROR_FILE = "error.json"
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,31}$")
 
 #: Scheme names a submission may request (mirrors ``repro list``).
-_DYNAMIC_SCHEMES = ("morphcache", "pipp", "dsr", "ucp")
+_DYNAMIC_SCHEMES = ("morphcache", "pipp", "dsr")
 
 #: Job states that are final — a ``status.json`` exists exactly for these.
 TERMINAL_STATES = ("done", "partial", "failed", "cancelled")

@@ -15,7 +15,9 @@ at completion).  Recovery is therefore a pure *classification* pass over
   (records are written strictly after the header), so restarting from
   scratch loses nothing.
 - ``spec.json`` missing/torn    -> the job was never durably admitted (or
-  the dir is foreign): reported as skipped, never guessed at.
+  the dir is foreign): reported as skipped, never guessed at.  The same
+  holds for a spec this version no longer accepts (say, a removed
+  scheme).  A skipped dir keeps its files, so its seq is never reissued.
 
 Jobs are returned in admission (``seq``) order, so re-enqueueing them
 preserves every tenant's queue position across the restart.
@@ -24,6 +26,7 @@ preserves every tenant's queue position across the restart.
 from __future__ import annotations
 
 import pathlib
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -38,6 +41,9 @@ from repro.serve.jobs import (
     read_json_tolerant,
 )
 from repro.sim.supervisor import JournalSummary, inspect_journal
+
+#: The seq a job dir's name claims (``job_id`` writes ``<seq>-<tenant>``).
+_SEQ_PREFIX = re.compile(r"^(\d+)-")
 
 
 @dataclass
@@ -150,18 +156,23 @@ def recover_state(state_dir) -> RecoveryReport:
     if not jobs_root.is_dir():
         return report
     recovered: List[RecoveredJob] = []
+    seqs: List[int] = []
     for job_dir in sorted(jobs_root.iterdir()):
         if not job_dir.is_dir():
             continue
         entry = recover_job_dir(job_dir)
         if entry is None:
             report.skipped.append(job_dir.name)
+            # Its files stay on disk: a new job must not be handed its id.
+            claimed = _SEQ_PREFIX.match(job_dir.name)
+            if claimed:
+                seqs.append(int(claimed.group(1)))
             continue
         recovered.append(entry)
+        seqs.append(entry.job.seq)
     recovered.sort(key=lambda entry: entry.job.seq)
     report.jobs = recovered
-    report.next_seq = max((entry.job.seq for entry in recovered),
-                          default=0) + 1
+    report.next_seq = max(seqs, default=0) + 1
     return report
 
 

@@ -50,11 +50,11 @@ Why reordering is sound — the set-partition argument (DESIGN.md §7):
 
 Kernels:
 
-- **private** — all-private LRU topologies (``_private_fast`` on every
-  core): the hottest benchmark path.  A single tight loop with the slice
-  probes inlined, per-core integer counters instead of per-access stat
-  increments and no per-access timing calls; ≥3× the event engine
-  (BENCH_batch.json).
+- **private** — all-private LRU topologies
+  (``CacheHierarchy.all_private_fast``): the hottest benchmark path.  A
+  single tight loop with the slice probes inlined, per-core integer
+  counters instead of per-access stat increments and no per-access timing
+  calls; ≥3× the event engine (BENCH_batch.json).
 - **merged / shared** — LRU topologies with multi-slice groups (the
   configurations MorphCache's merge decisions create, including under
   faults): the slice-group kernel (:func:`_run_group_kernel`).  Sets are
@@ -72,9 +72,9 @@ Kernels:
 - **general** — anything else (PLRU, order-sensitive observers,
   timing-inexact configurations): the real access path driven in global
   order with batched timing.
-- **event fallback** — systems without a batchable hierarchy (PIPP, DSR,
-  UCP) run the event engine unchanged; :func:`run_epoch_batch` reports
-  which path it took.
+- **event fallback** — systems without a batchable hierarchy (PIPP, DSR)
+  run the event engine unchanged; :func:`run_epoch_batch` reports which
+  path it took.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def batch_unsupported(system) -> Optional[str]:
     """Why ``system`` cannot be batched this epoch, or None if it can.
 
     Only a plain :class:`~repro.cpu.cmp.CmpSystem` (MorphCache or a static
-    topology) exposes the hierarchy the kernels operate on; the PIPP/DSR/
-    UCP baselines implement the access protocol with their own organisations
+    topology) exposes the hierarchy the kernels operate on; the PIPP/DSR
+    baselines implement the access protocol with their own organisations
     and run on the event engine.
     """
     if type(system) is not CmpSystem:
@@ -605,13 +605,14 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
                         gap_sums: Dict[int, int]) -> None:
     """Set-partitioned resolution of an all-private LRU epoch.
 
-    Semantically identical to ``CacheHierarchy._access_private`` driven in
-    global order, with the whole access *and fill* chain inlined into one
-    loop: the probes and recency updates are the same dict operations, the
-    fills/evictions/back-invalidations mutate the same per-set recency
-    dicts the hierarchy's own ``_fill_private``/``_fill_l1_private``/
-    ``_back_invalidate`` would (entry recycling, ``filled`` included), and
-    per-core integer counts replace per-access stat and timer updates
+    Semantically identical to ``CacheHierarchy.access`` driven in global
+    order on an all-private topology, with the whole access *and fill*
+    chain inlined into one loop: the probes and recency updates are the
+    same dict operations, the fills/evictions/back-invalidations mutate the
+    same per-set recency dicts the hierarchy's own ``_fill_group``/
+    ``_fill_l1``/``_back_invalidate`` would (a recycled victim entry gets
+    every field rewritten, ``filled`` included), and per-core integer
+    counts replace per-access stat and timer updates
     (flushed once at the end; integer sums commute and the timing
     decomposition is exact, see module docstring).  Observer
     ``on_fill``/``on_evict`` calls are elided outright: the kernel only runs
@@ -689,7 +690,7 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
 
     for line, write, core, stamp in zip(lines_list, writes_list,
                                         cores_list, stamps_list):
-        # L1 probe (recency-dict hit), as in _access_private.
+        # L1 probe (recency-dict hit), as in CacheHierarchy.access.
         set1 = line & m1
         bucket1 = l1_idx[core][set1]
         entry = bucket1.get(line)
@@ -730,8 +731,8 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
                 if notify_hit:
                     hits3[core].add(line)
             else:
-                # Main memory; fill L3 (inlined _fill_private, observer
-                # fill/evict hooks elided — no-ops under the gate).
+                # Main memory; fill L3 (inlined singleton _fill_group,
+                # observer fill/evict hooks elided — no-ops under the gate).
                 c_mem[core] += 1
                 hc_level = hcm
                 ins3[core] += 1
@@ -782,7 +783,7 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
             else:
                 bucket2[line] = new_entry(line, core, write, stamp)
 
-        # Fill L1 (every non-L1-hit path; inlined _fill_l1_private).
+        # Fill L1 (every non-L1-hit path; inlined _fill_l1).
         if len(bucket1) >= w1:
             for v_line in bucket1:
                 break

@@ -107,13 +107,16 @@ def run_epoch(system, traces: Dict[int, object], timers: Dict[int, CoreTimingMod
               n_accesses: int) -> None:
     """Drive one epoch's traces through ``system``, round-robin interleaved.
 
-    The inner loop is the hottest code in the simulator, so all per-access
-    conversion work is hoisted out of it: the numpy trace arrays are
-    converted to plain Python lists once per epoch (``tolist`` yields the
-    same ``int``/``bool`` values the old per-access ``int()``/``bool()``
-    casts produced, so results are bit-identical) and the per-core bound
-    methods and columns are resolved once.  ``bench_hotpath.py`` times this
-    exact function.
+    This is the event engine: every access goes through ``system.access``
+    (for a CMP system, :meth:`~repro.caches.hierarchy.CacheHierarchy.access`),
+    the reference the batch kernels are tested against.  All per-access
+    conversion work is hoisted out of the inner loop: the numpy trace
+    arrays are converted to plain Python lists once per epoch (``tolist``
+    yields the same ``int``/``bool`` values the old per-access
+    ``int()``/``bool()`` casts produced, so results are bit-identical) and
+    the per-core bound methods and columns are resolved once.
+    ``bench_batch.py`` times this exact function as the event side of its
+    speedups.
     """
     columns = [
         (core, timers[core].account,

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.dsr import DsrSystem
 from repro.baselines.pipp import PippSystem
-from repro.baselines.ucp import UcpSystem
 from repro.config import MachineConfig, MorphConfig
 from repro.cpu.cmp import CmpSystem
 from repro.obs.trace import TraceRecorder
@@ -28,7 +27,6 @@ from repro.sim.workload import Workload
 MORPHCACHE = "morphcache"
 PIPP = "pipp"
 DSR = "dsr"
-UCP = "ucp"
 
 #: Builders for the non-static schemes; static ``(x:y:z)`` labels are
 #: recognised structurally.
@@ -40,7 +38,6 @@ SCHEME_BUILDERS = {
     ),
     PIPP: lambda config, workload, seed, morph: PippSystem(config, seed=seed),
     DSR: lambda config, workload, seed, morph: DsrSystem(config, seed=seed),
-    UCP: lambda config, workload, seed, morph: UcpSystem(config, seed=seed),
 }
 
 

@@ -1,11 +1,18 @@
 """Tests for the three-level inclusive hierarchy with merged groups."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caches.hierarchy import CacheHierarchy, HierarchyObserver
 from repro.config import TINY
+from repro.sim.engine import simulate
+from repro.sim.experiment import build_system
+from repro.sim.workload import Workload
+from repro.workloads import MIXES
 
 
 def private_topology(n=16):
@@ -267,3 +274,24 @@ def test_property_inclusion_invariant(accesses):
     for core, line, write in accesses:
         h.access(core, line, write)
     h.check_inclusion()
+
+
+@pytest.mark.parametrize("engine", ["event", "batch"])
+@pytest.mark.parametrize("scheme", ["(1:1:16)", "(16:1:1)", "morphcache"])
+def test_hierarchy_freed_by_refcount(scheme, engine):
+    """A finished run's hierarchy dies with its system, no GC pass needed.
+
+    A method bound on the instance (``self.access = self._something``)
+    would be a reference cycle that keeps every hierarchy alive until the
+    cyclic collector runs.
+    """
+    workload = Workload.from_mix(MIXES[0])
+    system = build_system(scheme, TINY, workload, seed=1)
+    simulate(system, workload, TINY, seed=1, epochs=2, engine=engine)
+    gc.disable()
+    try:
+        hierarchy = weakref.ref(system.hierarchy)
+        del system
+        assert hierarchy() is None
+    finally:
+        gc.enable()

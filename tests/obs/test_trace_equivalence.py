@@ -79,7 +79,7 @@ def test_multithreaded_shared_lines_trace_identical(tmp_path):
         _assert_traces_identical(scheme, Workload.from_parsec(name), subdir)
 
 
-@pytest.mark.parametrize("scheme", ["pipp", "dsr", "ucp"])
+@pytest.mark.parametrize("scheme", ["pipp", "dsr"])
 def test_event_fallback_trace_identical(scheme, tmp_path):
     # Baselines have no hierarchy/controller: the trace degrades gracefully
     # (no stats/topology fields) but stays byte-identical.

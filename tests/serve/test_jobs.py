@@ -85,6 +85,9 @@ class TestValidation:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError, match="schemes"):
             _spec(schemes=["morphcache", "nope"])
+        # A removed scheme is as unknown as a made-up one.
+        with pytest.raises(ConfigError, match="schemes"):
+            _spec(scheme="ucp")
 
     def test_scheme_string_becomes_singleton(self):
         assert _spec(scheme="pipp").schemes == ("pipp",)
@@ -100,7 +103,7 @@ class TestValidation:
 
     def test_known_schemes_cover_paper_set(self):
         legal = known_schemes()
-        for scheme in ("morphcache", "pipp", "dsr", "ucp", "(16:1:1)"):
+        for scheme in ("morphcache", "pipp", "dsr", "(16:1:1)"):
             assert scheme in legal
 
 

@@ -159,6 +159,20 @@ class TestClassification:
         assert report.jobs == []
         assert report.skipped == ["000009-evil"]
 
+    def test_removed_scheme_is_skipped_and_its_seq_not_reissued(
+            self, tmp_path):
+        kept = _make_job_dir(tmp_path, seq=1)
+        job_dir = tmp_path / "jobs" / job_id(2, "alice")
+        job_dir.mkdir(parents=True)
+        record = spec_record(kept)
+        record.update(id=job_id(2, "alice"), seq=2)
+        record["spec"]["schemes"] = ["ucp"]
+        write_json_durable(job_dir / "spec.json", record)
+        report = recover_state(tmp_path)
+        assert [e.job.seq for e in report.jobs] == [1]
+        assert report.skipped == [job_id(2, "alice")]
+        assert report.next_seq == 3
+
 
 class TestStateScan:
     def test_seq_order_and_next_seq(self, tmp_path):

@@ -36,7 +36,7 @@ FAST_JOB = dict(workload="MIX 01", scheme="morphcache", preset="tiny",
                 epochs=2, seed=3)
 #: ~4 tiny runs: long enough to observe "running", queued backlogs, drains.
 SLOW_JOB = dict(workload="MIX 01",
-                schemes=["morphcache", "pipp", "dsr", "ucp"],
+                schemes=["morphcache", "pipp", "dsr", "(16:1:1)"],
                 preset="tiny", epochs=3, seed=5, trace=False)
 #: One run far longer than any watchdog cap used below (~1 s per epoch).
 LONG_JOB = dict(workload="MIX 01", scheme="morphcache", preset="small",

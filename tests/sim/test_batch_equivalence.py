@@ -116,7 +116,7 @@ def test_merged_shared_topologies_shared_lines_identical():
 
 
 def test_event_fallback_schemes_identical():
-    for scheme in ("pipp", "dsr", "ucp"):
+    for scheme in ("pipp", "dsr"):
         _assert_identical(scheme, Workload.from_mix(MIXES[0]))
 
 
@@ -340,11 +340,11 @@ def test_dispatch_plru_general_fallback_identical():
 
 
 def test_dispatch_event_fallback():
-    # PIPP/DSR/UCP implement the access protocol with their own
+    # PIPP/DSR implement the access protocol with their own
     # organisations: batch_unsupported names the reason and the epoch runs
     # on the event engine.
     workload = Workload.from_mix(MIXES[0])
-    for scheme in ("pipp", "dsr", "ucp"):
+    for scheme in ("pipp", "dsr"):
         system = build_system(scheme, CONFIG, workload, seed=SEED)
         assert batch_unsupported(system) is not None
         assert _epoch_tag(system, workload, CONFIG) == EVENT_FALLBACK

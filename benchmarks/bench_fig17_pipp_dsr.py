@@ -37,10 +37,9 @@ def test_fig17_pipp_dsr(benchmark):
            "(paper: MorphCache +6.6% over PIPP, +5.7% over DSR)\n"
            + format_rows(["mix"] + SCHEMES, rows))
 
-    # Shape: MorphCache competitive with both managed-cache baselines on
-    # average (the paper's margins are single-digit percentages).
-    assert means["morphcache"] > means["pipp"] * 0.93
-    assert means["morphcache"] > means["dsr"] * 0.93
+    # Shape: the paper's ordering on average, MorphCache ahead of DSR
+    # ahead of PIPP (the margins are single-digit percentages).
+    assert means["morphcache"] > means["dsr"] > means["pipp"]
     # All schemes function: nothing collapses below 60 % of the baseline.
     for values in table.values():
         assert all(v > 0.6 for v in values.values())

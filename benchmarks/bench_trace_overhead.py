@@ -35,6 +35,10 @@ from repro.workloads import MIXES
 
 PASSES = 3  # runs per mode; best-of to shed scheduler noise
 
+#: Mode name -> (trace, metrics).
+MODES = {"off": (False, False), "trace": (True, False),
+         "trace+metrics": (True, True)}
+
 JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_trace.json"
 
 
@@ -59,30 +63,37 @@ def _one_run(trace_path=None, metrics=False):
     return elapsed, result.mean_throughput
 
 
-def measure(trace=False, metrics=False):
-    """Best-of-PASSES accesses/second for one mode (plus the run result)."""
+def measure():
+    """Best-of-PASSES accesses/second per mode, and each mode's result.
+
+    Every pass runs each mode once, and the order rotates by one mode per
+    pass, so each mode runs first, second and last equally often: no mode
+    is always the one that pays for a cold start or a busy neighbour.
+    """
     accesses = (BENCH_CONFIG.accesses_per_core_per_epoch * BENCH_CONFIG.cores
                 * (BENCH_CONFIG.epochs + 1))  # +1 warmup epoch
-    best = float("inf")
-    throughput = None
+    names = list(MODES)
+    best = {name: float("inf") for name in names}
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(PASSES):
-            path = (pathlib.Path(tmp) / f"pass{i}.jsonl") if trace else None
-            elapsed, run_throughput = _one_run(path, metrics)
-            best = min(best, elapsed)
-            throughput = run_throughput
-    return accesses / best, throughput
+            shift = i % len(names)
+            for j, name in enumerate(names[shift:] + names[:shift]):
+                trace, metrics = MODES[name]
+                path = (pathlib.Path(tmp) / f"pass{i}-{j}.jsonl"
+                        if trace else None)
+                elapsed, results[name] = _one_run(path, metrics)
+                best[name] = min(best[name], elapsed)
+    return {name: accesses / best[name] for name in names}, results
 
 
 def test_trace_overhead(benchmark):
     def all_modes():
-        off, off_result = measure()
-        traced, traced_result = measure(trace=True)
-        full, full_result = measure(trace=True, metrics=True)
+        rates, results = measure()
         # Observation must not perturb the simulation: identical results.
-        assert traced_result == off_result
-        assert full_result == off_result
-        return {"off": off, "trace": traced, "trace+metrics": full}
+        assert results["trace"] == results["off"]
+        assert results["trace+metrics"] == results["off"]
+        return rates
 
     rates = benchmark.pedantic(all_modes, rounds=1, iterations=1)
     overhead = {mode: 1.0 - rates[mode] / rates["off"] for mode in rates}
@@ -93,7 +104,7 @@ def test_trace_overhead(benchmark):
     report("trace_overhead",
            "Observability overhead: simulate() accesses/second by mode "
            "(morphcache, MIX 01, small preset, batch engine, seed 2011, "
-           f"best of {PASSES})\n{table}\n\n"
+           f"best of {PASSES}, mode order rotated each pass)\n{table}\n\n"
            "The off row is the untraced default path; the CI "
            "trace-overhead job additionally holds it within 2% of the "
            "committed BENCH_trace.json baseline.")

@@ -51,14 +51,19 @@ def run(scheme: str, workload: Workload, epochs: Optional[int] = None,
         seed: int = SEED, morph: Optional[MorphConfig] = None,
         config: Optional[MachineConfig] = None,
         keep_system: bool = False) -> RunResult:
-    """Run (or fetch from cache) one scheme on one workload."""
+    """Run (or fetch from cache) one scheme on one workload.
+
+    ``keep_system`` also caches the simulated system; a run cached without
+    it is simulated again to get one (runs are deterministic, so the cached
+    result stays valid and is kept).
+    """
     config = config or BENCH_CONFIG
     key = (scheme, workload.name, seed, epochs, morph, config)
-    if key not in _RUN_CACHE:
+    if key not in _RUN_CACHE or (keep_system and key not in _SYSTEM_CACHE):
         system = build_system(scheme, config, workload, seed=seed, morph=morph)
         result = simulate(system, workload, config, seed=seed, epochs=epochs)
         result.scheme_name = scheme
-        _RUN_CACHE[key] = result
+        _RUN_CACHE.setdefault(key, result)
         if keep_system:
             _SYSTEM_CACHE[key] = system
     return _RUN_CACHE[key]

@@ -25,51 +25,41 @@ Packages:
   checkpoint/resume, and the typed error taxonomy.
 """
 
-from repro import config
-from repro.config import MachineConfig, MorphConfig, MsatConfig, preset
-from repro.core import MorphCacheController
-from repro.cpu import CmpSystem
-from repro.metrics import fair_speedup, throughput, weighted_speedup
-from repro.resilience import (
-    CheckpointError,
-    ConfigError,
-    FaultInjectedError,
-    FaultPlan,
-    ReproError,
-    TopologyInvariantError,
-    parse_fault_spec,
-)
-from repro.sim import RunResult, Workload, alone_ipcs, run_scheme, simulate
-from repro.workloads import MIXES, PARSEC_BENCHMARKS, SPEC_BENCHMARKS, mix_by_name
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "config",
-    "preset",
-    "MachineConfig",
-    "MorphConfig",
-    "MsatConfig",
-    "MorphCacheController",
-    "CmpSystem",
-    "Workload",
-    "RunResult",
-    "run_scheme",
-    "simulate",
-    "alone_ipcs",
-    "throughput",
-    "weighted_speedup",
-    "fair_speedup",
-    "MIXES",
-    "mix_by_name",
-    "SPEC_BENCHMARKS",
-    "PARSEC_BENCHMARKS",
-    "ReproError",
-    "ConfigError",
-    "TopologyInvariantError",
-    "FaultInjectedError",
-    "CheckpointError",
-    "FaultPlan",
-    "parse_fault_spec",
-    "__version__",
-]
+#: Public name -> defining module, imported on first use (PEP 562), so
+#: ``import repro.serve.client`` does not load the simulator.
+_EXPORTS = {
+    "config": "repro.config",
+    "preset": "repro.config",
+    "MachineConfig": "repro.config",
+    "MorphConfig": "repro.config",
+    "MsatConfig": "repro.config",
+    "MorphCacheController": "repro.core.controller",
+    "CmpSystem": "repro.cpu.cmp",
+    "Workload": "repro.sim.workload",
+    "RunResult": "repro.sim.results",
+    "run_scheme": "repro.sim.experiment",
+    "simulate": "repro.sim.engine",
+    "alone_ipcs": "repro.sim.experiment",
+    "throughput": "repro.metrics.speedups",
+    "weighted_speedup": "repro.metrics.speedups",
+    "fair_speedup": "repro.metrics.speedups",
+    "MIXES": "repro.workloads.mixes",
+    "mix_by_name": "repro.workloads.mixes",
+    "SPEC_BENCHMARKS": "repro.workloads.spec",
+    "PARSEC_BENCHMARKS": "repro.workloads.parsec",
+    "ReproError": "repro.resilience.errors",
+    "ConfigError": "repro.resilience.errors",
+    "TopologyInvariantError": "repro.resilience.errors",
+    "FaultInjectedError": "repro.resilience.errors",
+    "CheckpointError": "repro.resilience.errors",
+    "FaultPlan": "repro.resilience.faults",
+    "parse_fault_spec": "repro.resilience.faults",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

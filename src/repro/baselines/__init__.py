@@ -10,19 +10,21 @@
   of Figure 15.
 """
 
-from repro.baselines.static_topologies import STATIC_LABELS, BASELINE_LABEL
-from repro.baselines.pipp import PippCache, PippSystem, UtilityMonitor, lookahead_partition
-from repro.baselines.dsr import DsrLevel, DsrSystem
-from repro.baselines.offline_ideal import ideal_offline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "STATIC_LABELS",
-    "BASELINE_LABEL",
-    "PippCache",
-    "PippSystem",
-    "UtilityMonitor",
-    "lookahead_partition",
-    "DsrLevel",
-    "DsrSystem",
-    "ideal_offline",
-]
+#: Public name -> defining module, imported on first use (PEP 562).
+_EXPORTS = {
+    "STATIC_LABELS": "repro.baselines.static_topologies",
+    "BASELINE_LABEL": "repro.baselines.static_topologies",
+    "PippCache": "repro.baselines.pipp",
+    "PippSystem": "repro.baselines.pipp",
+    "UtilityMonitor": "repro.baselines.pipp",
+    "lookahead_partition": "repro.baselines.pipp",
+    "DsrLevel": "repro.baselines.dsr",
+    "DsrSystem": "repro.baselines.dsr",
+    "ideal_offline": "repro.baselines.offline_ideal",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

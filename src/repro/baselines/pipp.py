@@ -170,6 +170,11 @@ class PippCache:
         self._set_mask = sets - 1
         # Each set is a priority list: index 0 = next victim, -1 = highest.
         self._data: List[List[Tuple[int, int]]] = [[] for _ in range(sets)]
+        # Per set, line -> owner of every resident line: membership without
+        # a list scan.  A line is resident at most once (fills follow
+        # misses), so the list and the dict change together on every fill
+        # and eviction; promotion only reorders the list.
+        self._owners: List[Dict[int, int]] = [{} for _ in range(sets)]
         self._rng = random.Random(seed)
         self.monitors = [UtilityMonitor(sets, ways) for _ in range(n_cores)]
         base = max(1, ways // n_cores)
@@ -182,14 +187,15 @@ class PippCache:
     def lookup(self, core: int, line: int) -> bool:
         """Probe (and monitor) the cache; promotes on hit.  True if hit."""
         self.monitors[core].observe(line)
-        entries = self._data[line & self._set_mask]
-        for position, (entry_line, owner) in enumerate(entries):
-            if entry_line == line:
-                self.hits += 1
-                self._promote(entries, position, owner)
-                return True
-        self.misses += 1
-        return False
+        set_index = line & self._set_mask
+        owner = self._owners[set_index].get(line)
+        if owner is None:
+            self.misses += 1
+            return False
+        self.hits += 1
+        entries = self._data[set_index]
+        self._promote(entries, entries.index((line, owner)), owner)
+        return True
 
     def _promote(self, entries: List[Tuple[int, int]], position: int,
                  owner: int) -> None:
@@ -206,20 +212,23 @@ class PippCache:
 
         Returns the evicted line, if any.
         """
-        entries = self._data[line & self._set_mask]
+        set_index = line & self._set_mask
+        entries = self._data[set_index]
+        owners = self._owners[set_index]
         victim = None
         if len(entries) >= self.ways:
             victim = entries.pop(0)[0]
+            del owners[victim]
         if self.monitors[core].is_streaming:
             position = min(STREAM_INSERT_POSITION, len(entries))
         else:
             position = min(self.partitions[core], len(entries))
         entries.insert(position, (line, core))
+        owners[line] = core
         return victim
 
     def contains(self, line: int) -> bool:
-        entries = self._data[line & self._set_mask]
-        return any(entry_line == line for entry_line, _ in entries)
+        return line in self._owners[line & self._set_mask]
 
     # -- epoch boundary ---------------------------------------------------------
 

@@ -80,37 +80,39 @@ import re
 import sys
 from typing import List, Optional
 
-from repro.baselines.static_topologies import STATIC_LABELS
-from repro.config import format_table3, preset
-from repro.interconnect.timing import ArbiterTimingModel
-from repro.obs import REGISTRY
-from repro.render import render_series
-from repro.resilience import ConfigError, ReproError, parse_fault_spec
-from repro.sim.engine import DEFAULT_ENGINE, ENGINES
-from repro.sim.experiment import run_scheme
-from repro.sim.parallel import RunSpec, resolve_jobs, run_many
-from repro.sim.supervisor import SweepPolicy, run_supervised
-from repro.sim.workload import Workload
-from repro.workloads import MIXES, PARSEC_BENCHMARKS, SPEC_BENCHMARKS
+from repro.resilience.errors import ConfigError, ReproError
+from repro.sim.results import DEFAULT_ENGINE, ENGINES
+
+# Each command imports what it runs, inside the command: parsing the
+# command line (and ``serve``/``worker``) never loads the simulator.
 
 
-def _workload_from_name(name: str) -> Workload:
+def _workload_from_name(name: str):
     # One resolver for the CLI and the service: a bad name is a ConfigError
     # (exit 3 here, HTTP 400 at the service's admission boundary).
+    from repro.sim.workload import Workload
+
     return Workload.from_name(name)
 
 
 def cmd_table3(args: argparse.Namespace) -> int:
+    from repro.config import format_table3, preset
+
     print(format_table3(preset(args.preset)))
     return 0
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
+    from repro.interconnect.timing import ArbiterTimingModel
+
     print(ArbiterTimingModel().format_table2())
     return 0
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from repro.baselines.static_topologies import STATIC_LABELS
+    from repro.workloads import MIXES, PARSEC_BENCHMARKS, SPEC_BENCHMARKS
+
     print("mixes:")
     for mix in MIXES:
         print(f"  {mix.name}  type {mix.type_counts}")
@@ -122,6 +124,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _write_metrics(path: str) -> None:
     """Dump the registry: Prometheus text, or JSON for ``*.json`` paths."""
+    from repro.obs import REGISTRY
+
     if path.endswith(".json"):
         payload = json.dumps(REGISTRY.dump_json(), indent=2, sort_keys=True)
     else:
@@ -136,6 +140,12 @@ def trace_filename(scheme: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.config import preset
+    from repro.obs import REGISTRY
+    from repro.render import render_series
+    from repro.resilience.faults import parse_fault_spec
+    from repro.sim.experiment import run_scheme
+
     machine = preset(args.preset)
     if args.epochs is not None:
         machine = machine.with_(epochs=args.epochs)
@@ -186,6 +196,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.baselines.static_topologies import STATIC_LABELS
+    from repro.config import preset
+    from repro.resilience.faults import parse_fault_spec
+    from repro.sim.parallel import RunSpec, resolve_jobs, run_many
+    from repro.sim.supervisor import SweepPolicy, run_supervised
+
     machine = preset(args.preset)
     workload = _workload_from_name(args.workload)
     fault_plan = parse_fault_spec(args.faults) if args.faults else None

@@ -11,58 +11,34 @@
   for long sweeps.
 """
 
-from repro.resilience.errors import (
-    CheckpointError,
-    ConfigError,
-    FaultInjectedError,
-    LeaseLostError,
-    PoolCorruptError,
-    PoolError,
-    ReproError,
-    SweepInterrupted,
-    TopologyInvariantError,
-    WorkerCrashError,
-)
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    parse_fault_spec,
-)
-from repro.resilience.guards import (
-    GuardEvent,
-    TopologyGuard,
-    validate_topology,
-)
-from repro.resilience.checkpoint import (
-    load_checkpoint,
-    save_checkpoint,
-    state_digest,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "ConfigError",
-    "TopologyInvariantError",
-    "FaultInjectedError",
-    "CheckpointError",
-    "WorkerCrashError",
-    "SweepInterrupted",
-    "PoolError",
-    "LeaseLostError",
-    "PoolCorruptError",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultRule",
-    "FaultPlan",
-    "FaultInjector",
-    "parse_fault_spec",
-    "TopologyGuard",
-    "GuardEvent",
-    "validate_topology",
-    "state_digest",
-    "save_checkpoint",
-    "load_checkpoint",
-]
+#: Public name -> defining module, imported on first use (PEP 562).
+_EXPORTS = {
+    "ReproError": "repro.resilience.errors",
+    "ConfigError": "repro.resilience.errors",
+    "TopologyInvariantError": "repro.resilience.errors",
+    "FaultInjectedError": "repro.resilience.errors",
+    "CheckpointError": "repro.resilience.errors",
+    "WorkerCrashError": "repro.resilience.errors",
+    "SweepInterrupted": "repro.resilience.errors",
+    "PoolError": "repro.resilience.errors",
+    "LeaseLostError": "repro.resilience.errors",
+    "PoolCorruptError": "repro.resilience.errors",
+    "FAULT_KINDS": "repro.resilience.faults",
+    "FaultEvent": "repro.resilience.faults",
+    "FaultRule": "repro.resilience.faults",
+    "FaultPlan": "repro.resilience.faults",
+    "FaultInjector": "repro.resilience.faults",
+    "parse_fault_spec": "repro.resilience.faults",
+    "TopologyGuard": "repro.resilience.guards",
+    "GuardEvent": "repro.resilience.guards",
+    "validate_topology": "repro.resilience.guards",
+    "state_digest": "repro.resilience.checkpoint",
+    "save_checkpoint": "repro.resilience.checkpoint",
+    "load_checkpoint": "repro.resilience.checkpoint",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,6 +30,7 @@ import pathlib
 from typing import Any, Dict, List, Optional
 
 from repro.resilience.errors import CheckpointError
+from repro.sim.results import EpochResult
 
 FORMAT_VERSION = 1
 
@@ -127,8 +128,7 @@ def epoch_to_json(epoch_result) -> Dict[str, Any]:
     }
 
 
-def epoch_from_json(payload: Dict[str, Any]):
-    from repro.sim.engine import EpochResult  # local: avoid import cycle
+def epoch_from_json(payload: Dict[str, Any]) -> EpochResult:
     return EpochResult(
         epoch=int(payload["epoch"]),
         ipcs={int(core): float(ipc) for core, ipc in payload["ipcs"].items()},

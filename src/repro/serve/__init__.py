@@ -25,46 +25,35 @@ Layers (each its own module, each testable without the one above):
 See DESIGN.md §10-§11 for the architecture and README for walkthroughs.
 """
 
-from repro.serve.app import (
-    SERVE_INFO_FILE,
-    ServiceConfig,
-    SimulationService,
-    run_service,
-)
-from repro.serve.client import RetryPolicy, ServiceClient, ServiceHTTPError
-from repro.serve.jobs import Job, JobSpec, job_id, known_schemes
-from repro.serve.lease import LeaseHandle, LeaseState, read_lease
-from repro.serve.pool import (
-    PoolConfig,
-    SharedPool,
-    pool_status,
-    run_worker,
-)
-from repro.serve.queue import FairQueue, TenantQuota
-from repro.serve.recovery import RecoveredJob, RecoveryReport, recover_state
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FairQueue",
-    "Job",
-    "JobSpec",
-    "LeaseHandle",
-    "LeaseState",
-    "PoolConfig",
-    "RecoveredJob",
-    "RecoveryReport",
-    "RetryPolicy",
-    "SERVE_INFO_FILE",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceHTTPError",
-    "SharedPool",
-    "SimulationService",
-    "TenantQuota",
-    "job_id",
-    "known_schemes",
-    "pool_status",
-    "read_lease",
-    "recover_state",
-    "run_service",
-    "run_worker",
-]
+#: Public name -> defining module, imported on first use (PEP 562).
+_EXPORTS = {
+    "FairQueue": "repro.serve.queue",
+    "Job": "repro.serve.jobs",
+    "JobSpec": "repro.serve.jobs",
+    "LeaseHandle": "repro.serve.lease",
+    "LeaseState": "repro.serve.lease",
+    "PoolConfig": "repro.serve.pool",
+    "RecoveredJob": "repro.serve.recovery",
+    "RecoveryReport": "repro.serve.recovery",
+    "RetryPolicy": "repro.serve.client",
+    "SERVE_INFO_FILE": "repro.serve.app",
+    "ServiceClient": "repro.serve.client",
+    "ServiceConfig": "repro.serve.app",
+    "ServiceHTTPError": "repro.serve.client",
+    "SharedPool": "repro.serve.pool",
+    "SimulationService": "repro.serve.app",
+    "TenantQuota": "repro.serve.queue",
+    "job_id": "repro.serve.jobs",
+    "known_schemes": "repro.serve.jobs",
+    "pool_status": "repro.serve.pool",
+    "read_lease": "repro.serve.lease",
+    "recover_state": "repro.serve.recovery",
+    "run_service": "repro.serve.app",
+    "run_worker": "repro.serve.pool",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -80,14 +80,15 @@ from repro.serve.lease import acquire as acquire_lease, read_lease
 from repro.serve.pool import SharedPool
 from repro.serve.queue import FairQueue, TenantQuota
 from repro.serve.recovery import recover_state
+from repro.sim.parallel import SIMULATION_MODULES
 from repro.sim.supervisor import SweepJournal, result_from_json
 
 #: Modules the job forkserver imports once, so job children fork with
-#: them loaded: ``job_process_main`` and everything ``_run_spec`` reaches
-#: (numpy loads ``numpy.random`` lazily, on the first generator built).
+#: them loaded: ``job_process_main`` and everything ``_run_spec`` reaches.
+#: The service process itself never imports the simulator: admission,
+#: journal keys and result summaries use numpy-free modules only.
 JOB_PRELOAD = ("repro.serve.jobs", "repro.sim.supervisor",
-               "repro.sim.experiment", "repro.sim.engine", "repro.sim.batch",
-               "numpy.random")
+               *SIMULATION_MODULES)
 
 #: Written next to the state dir's jobs/ once the socket is bound, so
 #: clients (and tests) can discover the actual port of a ``--port 0`` bind.
@@ -408,6 +409,7 @@ class SimulationService:
         self.state = "starting"  # -> ready -> draining -> stopped
         self.state_dir = pathlib.Path(config.state_dir)
         self.jobs: Dict[str, Job] = {}
+        self._terminal_bodies: Dict[str, bytes] = {}
         self.queue = FairQueue(max_queued=config.max_queued,
                                default_quota=config.default_quota,
                                quotas=config.quotas)
@@ -941,6 +943,23 @@ class SimulationService:
             self._streams[job.id] = stream
         return stream
 
+    def _status_body(self, job: Job, position: Optional[int]) -> bytes:
+        """A job's status as JSON, with its queue position when queued.
+
+        ``GET /jobs`` lists every job ever admitted and clients poll it,
+        so a terminal job's body, which can no longer change, is encoded
+        once and reused.
+        """
+        body = self._terminal_bodies.get(job.id)
+        if body is None:
+            payload = job.status_payload()
+            if position is not None:
+                payload["position"] = position
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            if job.terminal:
+                self._terminal_bodies[job.id] = body
+        return body
+
     def _job_results(self, job: Job) -> Dict[str, Any]:
         runs: List[Dict[str, Any]] = []
         try:
@@ -1040,17 +1059,18 @@ class SimulationService:
                 201, {"job": job.status_payload(),
                       "position": self.queue.position(job.id)})
         if parts == ["jobs"] and method == "GET":
-            return _json_response(200, {
-                "jobs": [self.jobs[jid].status_payload()
-                         for jid in sorted(self.jobs)]})
+            positions = self.queue.positions()
+            bodies = [self._status_body(self.jobs[jid], positions.get(jid))
+                      for jid in sorted(self.jobs)]
+            return _response_bytes(
+                200, b'{"jobs": [' + b", ".join(bodies) + b"]}",
+                "application/json")
         if len(parts) == 2 and parts[0] == "jobs":
             job = self._get_job(parts[1])
             if method == "GET":
-                payload = job.status_payload()
-                position = self.queue.position(job.id)
-                if position is not None:
-                    payload["position"] = position
-                return _json_response(200, payload)
+                return _response_bytes(
+                    200, self._status_body(job, self.queue.position(job.id)),
+                    "application/json")
             if method == "DELETE":
                 return self._cancel(job)
         if len(parts) == 3 and parts[0] == "jobs" and method == "GET":

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.sim.parallel import derive_seed
+from repro.sim.seeds import derive_seed
 
 #: Methods whose retry is always safe: repeating them cannot change state
 #: twice (DELETE converges: cancelling a cancelled job is a no-op/404).
@@ -36,7 +36,7 @@ class RetryPolicy:
 
     Deterministic jitter: attempt *i*'s delay is
     ``base * 2**i * (0.5 + frac(seed, i))`` capped at ``cap``, where
-    ``frac`` comes from :func:`~repro.sim.parallel.derive_seed` — the same
+    ``frac`` comes from :func:`~repro.sim.seeds.derive_seed` — the same
     splitmix chain the simulator uses — so two runs of the same test
     produce the same schedule, while distinct seeds decorrelate clients
     (the thundering-herd fix jitter exists for).

@@ -43,9 +43,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.baselines.static_topologies import STATIC_LABELS
 from repro.config import preset
 from repro.resilience.errors import ConfigError, ReproError, SweepInterrupted
-from repro.sim.engine import DEFAULT_ENGINE, ENGINES
+from repro.sim.results import DEFAULT_ENGINE, ENGINES
 
 #: Files of the per-job directory (the durable contract with recovery).
 SPEC_FILE = "spec.json"
@@ -63,7 +64,6 @@ TERMINAL_STATES = ("done", "partial", "failed", "cancelled")
 
 
 def known_schemes() -> Tuple[str, ...]:
-    from repro.baselines.static_topologies import STATIC_LABELS
     return tuple(STATIC_LABELS) + _DYNAMIC_SCHEMES
 
 

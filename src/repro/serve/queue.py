@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, Mapping, Optional
 
 from repro.resilience.errors import (
     ConfigError,
@@ -102,11 +102,12 @@ class FairQueue:
 
     def position(self, job_id: str) -> Optional[int]:
         """0-based position of a queued job within its tenant's FIFO."""
-        for queue in self._queues.values():
-            for index, job in enumerate(queue):
-                if job.id == job_id:
-                    return index
-        return None
+        return self.positions().get(job_id)
+
+    def positions(self) -> Dict[str, int]:
+        """:meth:`position` of every queued job, by job id."""
+        return {job.id: index for queue in self._queues.values()
+                for index, job in enumerate(queue)}
 
     def snapshot(self) -> Dict[str, Any]:
         """The ``GET /queue`` body: per-tenant FIFOs in dispatch order."""

@@ -34,18 +34,32 @@ makes the results independent of parallelism.
 
 from __future__ import annotations
 
+import importlib
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.config import MachineConfig, MorphConfig
 from repro.resilience.errors import ConfigError
-from repro.resilience.faults import FaultPlan
-from repro.sim.engine import DEFAULT_ENGINE, RunResult
+from repro.sim.results import DEFAULT_ENGINE, RunResult
+from repro.sim.seeds import derive_seed
 from repro.sim.workload import Workload
+
+if TYPE_CHECKING:
+    from repro.resilience.faults import FaultPlan
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
+
+#: The modules a simulation run imports (everything :func:`_run_spec`
+#: reaches; numpy loads ``numpy.random`` lazily, on the first generator
+#: built).  This module imports none of them at load time, so sweep and
+#: service front ends stay light; a process about to fork simulation
+#: workers imports them first (:func:`import_simulator`), so every worker
+#: starts with them loaded instead of importing its own copy.
+SIMULATION_MODULES = ("repro.sim.experiment", "repro.sim.engine",
+                      "repro.sim.batch", "repro.workloads.synthetic",
+                      "numpy.random")
 
 
 @dataclass(frozen=True)
@@ -73,19 +87,6 @@ class RunSpec:
     invalidate its resumable journal)."""
 
 
-def derive_seed(base_seed: int, index: int) -> int:
-    """A stable, collision-free per-run seed for run ``index`` of a sweep.
-
-    Uses splitmix64 so neighbouring indices give uncorrelated seeds (plain
-    ``base + index`` makes run *i* of seed *s* collide with run *i-1* of
-    seed *s+1* across sweeps).
-    """
-    z = (base_seed * 0x9E3779B97F4A7C15 + index + 1) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (z ^ (z >> 31)) & 0x7FFFFFFF
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """The worker count to use: argument, else ``REPRO_JOBS``, else 1.
 
@@ -109,9 +110,15 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
+def import_simulator() -> None:
+    """Import :data:`SIMULATION_MODULES` (a no-op once they are loaded)."""
+    for name in SIMULATION_MODULES:
+        importlib.import_module(name)
+
+
 def _run_spec(spec: RunSpec) -> RunResult:
     """Worker entry point: one deterministic simulation run."""
-    from repro.sim.experiment import run_scheme  # local: keep import cheap
+    from repro.sim.experiment import run_scheme
 
     return run_scheme(
         spec.scheme,
@@ -233,5 +240,7 @@ __all__ = [
     "derive_seed",
     "resolve_jobs",
     "prime_alone_ipcs",
+    "import_simulator",
     "JOBS_ENV",
+    "SIMULATION_MODULES",
 ]

@@ -88,8 +88,14 @@ from repro.resilience.errors import (
     SweepInterrupted,
     WorkerCrashError,
 )
-from repro.sim.engine import RunResult
-from repro.sim.parallel import RunSpec, _run_spec, derive_seed, resolve_jobs
+from repro.sim.parallel import (
+    RunSpec,
+    _run_spec,
+    derive_seed,
+    import_simulator,
+    resolve_jobs,
+)
+from repro.sim.results import RunResult
 
 #: Journal format version; bumped on any incompatible record change.
 JOURNAL_VERSION = 1
@@ -952,6 +958,9 @@ def run_supervised(
                         # process, whatever the caller's default start
                         # method (a spawned or forkserver child inherits
                         # its own, and would re-import the simulator).
+                        # Load the simulator here first, so it is
+                        # imported once, not once per worker and pool.
+                        import_simulator()
                         pool = ProcessPoolExecutor(
                             max_workers=jobs,
                             mp_context=multiprocessing.get_context("fork"),

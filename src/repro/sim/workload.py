@@ -13,13 +13,17 @@ Three shapes, matching the paper's Section 4:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import MachineConfig
-from repro.workloads.mixes import Mix
-from repro.workloads.parsec import ParsecBenchmark, parsec_benchmark
+from repro.resilience.errors import ConfigError
+from repro.workloads.mixes import Mix, mix_by_name
+from repro.workloads.parsec import PARSEC_BENCHMARKS, ParsecBenchmark, parsec_benchmark
 from repro.workloads.spec import spec_benchmark
-from repro.workloads.synthetic import FootprintModel, SyntheticThread, make_threads
+
+if TYPE_CHECKING:
+    from repro.workloads.footprint import FootprintModel
+    from repro.workloads.synthetic import SyntheticThread
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,6 @@ class Workload:
         for anything else, so both front ends reject bad submissions with
         the same typed error.
         """
-        from repro.resilience.errors import ConfigError
-        from repro.workloads import PARSEC_BENCHMARKS, mix_by_name
-
         if name.lower().startswith("mix"):
             normalized = (name.upper().replace("MIX", "MIX ")
                           .replace("MIX  ", "MIX ").strip())
@@ -114,6 +115,8 @@ class Workload:
 
     def build_threads(self, config: MachineConfig, seed: int = 0) -> List[Optional[SyntheticThread]]:
         """Instantiate per-core generators (None for idle cores)."""
+        from repro.workloads import synthetic
+
         if len(self.models) > config.cores:
             raise ValueError(
                 f"workload has {len(self.models)} threads, machine only "
@@ -122,7 +125,7 @@ class Workload:
         if self.shared_address_space:
             # All threads share one model; realise the spatial variance.
             model = self.models[0]
-            return list(make_threads(
+            return list(synthetic.make_threads(
                 model, len(self.models), config.l2_slice, config.l3_slice, seed=seed
             ))
         threads: List[Optional[SyntheticThread]] = []
@@ -130,7 +133,7 @@ class Workload:
             if model is None:
                 threads.append(None)
             else:
-                threads.append(SyntheticThread(
+                threads.append(synthetic.SyntheticThread(
                     model, core, config.l2_slice, config.l3_slice, seed=seed
                 ))
         return threads

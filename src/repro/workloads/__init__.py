@@ -11,43 +11,37 @@ Public API:
 
 - :class:`~repro.workloads.trace.EpochTrace` — one epoch of line-granular
   memory references for one thread.
-- :class:`~repro.workloads.synthetic.FootprintModel` /
+- :class:`~repro.workloads.footprint.FootprintModel` /
   :class:`~repro.workloads.synthetic.SyntheticThread` — the reuse model.
 - :mod:`~repro.workloads.spec` — the 29 SPEC benchmark models (Table 4 left).
 - :mod:`~repro.workloads.parsec` — the 12 PARSEC models (Table 4 right).
 - :mod:`~repro.workloads.mixes` — the 12 multiprogrammed mixes (Table 5).
 """
 
-from repro.workloads.trace import EpochTrace, interleave_round_robin
-from repro.workloads.synthetic import FootprintModel, SyntheticThread
-from repro.workloads.spec import SPEC_BENCHMARKS, SpecBenchmark, spec_benchmark
-from repro.workloads.parsec import PARSEC_BENCHMARKS, ParsecBenchmark, parsec_benchmark
-from repro.workloads.mixes import MIXES, Mix, mix_by_name
-from repro.workloads.tracefile import (
-    RecordedThread,
-    load_traces,
-    record_workload,
-    recorded_threads,
-    save_traces,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EpochTrace",
-    "interleave_round_robin",
-    "FootprintModel",
-    "SyntheticThread",
-    "SPEC_BENCHMARKS",
-    "SpecBenchmark",
-    "spec_benchmark",
-    "PARSEC_BENCHMARKS",
-    "ParsecBenchmark",
-    "parsec_benchmark",
-    "MIXES",
-    "Mix",
-    "mix_by_name",
-    "RecordedThread",
-    "save_traces",
-    "load_traces",
-    "record_workload",
-    "recorded_threads",
-]
+#: Public name -> defining module, imported on first use (PEP 562).
+_EXPORTS = {
+    "EpochTrace": "repro.workloads.trace",
+    "interleave_round_robin": "repro.workloads.trace",
+    "FootprintModel": "repro.workloads.footprint",
+    "SyntheticThread": "repro.workloads.synthetic",
+    "SPEC_BENCHMARKS": "repro.workloads.spec",
+    "SpecBenchmark": "repro.workloads.spec",
+    "spec_benchmark": "repro.workloads.spec",
+    "PARSEC_BENCHMARKS": "repro.workloads.parsec",
+    "ParsecBenchmark": "repro.workloads.parsec",
+    "parsec_benchmark": "repro.workloads.parsec",
+    "MIXES": "repro.workloads.mixes",
+    "Mix": "repro.workloads.mixes",
+    "mix_by_name": "repro.workloads.mixes",
+    "RecordedThread": "repro.workloads.tracefile",
+    "save_traces": "repro.workloads.tracefile",
+    "load_traces": "repro.workloads.tracefile",
+    "record_workload": "repro.workloads.tracefile",
+    "recorded_threads": "repro.workloads.tracefile",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

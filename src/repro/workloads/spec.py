@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.workloads.synthetic import FootprintModel
+from repro.workloads.footprint import FootprintModel
 
 
 @dataclass(frozen=True)

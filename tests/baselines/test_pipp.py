@@ -1,5 +1,7 @@
 """Tests for the PIPP baseline (Xie & Loh, extended to L2+L3)."""
 
+import random
+
 import pytest
 
 from repro.baselines.pipp import (
@@ -109,6 +111,20 @@ class TestPippCache:
         assert not cache.lookup(0, 20)
         assert cache.hits == 1
         assert cache.misses == 1
+
+    def test_owner_map_tracks_priority_lists(self):
+        # Hits, fills and evictions over a few sets: the per-set owner map
+        # always holds exactly the resident (line, owner) pairs.
+        cache = self.make_cache()
+        rng = random.Random(5)
+        for _ in range(2000):
+            core, line = rng.randrange(2), rng.randrange(64)
+            if not cache.lookup(core, line):
+                cache.fill(core, line)
+        assert cache.hits and cache.misses
+        for entries, owners in zip(cache._data, cache._owners):
+            assert dict(entries) == owners
+            assert len(entries) == len(owners)
 
     def test_promotion_moves_at_most_one_position(self):
         cache = self.make_cache()

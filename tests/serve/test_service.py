@@ -9,6 +9,7 @@ mocks, in a second or two each.
 
 import http.client
 import json
+import pathlib
 import signal
 import time
 
@@ -119,6 +120,19 @@ class TestJobs:
             (svc.state / "jobs" / job_id / "spec.json").read_text())
         assert record["spec"]["engine"] == "batch"
 
+    def test_service_process_never_loads_numpy(self, svc):
+        # Admission, journal keys and result summaries run in the service
+        # process; only job children, forked from the preloaded
+        # forkserver, load the simulator.  numpy's compiled core would
+        # show in the service's memory map.
+        job_id = svc.client.submit(tenant="dave", **FAST_JOB)["job"]["id"]
+        assert svc.client.wait_for_state(job_id, TERMINAL,
+                                         timeout=120)["state"] == "done"
+        assert svc.client.result(job_id)["runs"]
+        assert svc.client.jobs()
+        maps = pathlib.Path(f"/proc/{svc.proc.pid}/maps").read_text()
+        assert "numpy" not in maps
+
     def test_unknown_job_is_typed_404(self, svc):
         with pytest.raises(ServiceHTTPError) as excinfo:
             svc.client.job("000999-nobody")
@@ -168,6 +182,29 @@ class TestJobs:
         done = svc.client.wait_for_state(
             running["job"]["id"], ("done", "partial", "failed"), timeout=120)
         assert done["state"] == "done"
+
+
+class TestJobListing:
+    def test_list_entries_equal_job_status(self, tmp_path):
+        # GET /jobs reuses a terminal job's encoded status; every entry
+        # must still read exactly as GET /jobs/<id> for the same job.
+        proc, client = start_service(tmp_path / "state", "--max-jobs", "1")
+        try:
+            done = client.submit(tenant="alice", **FAST_JOB)["job"]["id"]
+            client.jobs()  # listed before it ends: must not freeze there
+            client.wait_for_state(done, TERMINAL, timeout=120)
+            running = client.submit(tenant="alice", **LONG_JOB)["job"]["id"]
+            queued = client.submit(tenant="alice", **LONG_JOB)["job"]["id"]
+            client.wait_for_state(running, ("running",), timeout=60)
+            for _ in range(2):  # the second listing serves cached bytes
+                listed = {entry["id"]: entry for entry in client.jobs()}
+                assert [listed[j]["state"] for j in (done, running, queued)] \
+                    == ["done", "running", "queued"]
+                for job_id in (done, running, queued):
+                    assert listed[job_id] == client.job(job_id)
+            assert listed[queued]["position"] == 0
+        finally:
+            kill_group(proc)
 
 
 class TestAdmissionControl:

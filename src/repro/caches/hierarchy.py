@@ -238,7 +238,7 @@ class CacheHierarchy:
                     binding.fast[slice_id] = (
                         binding.slices[slice_id]
                         if order == (slice_id,) else None)
-        # The batch engine's all-private kernel needs every core's L2 and L3
+        # The batch engine's per-core kernel needs every core's L2 and L3
         # order to be its own slice alone, and true LRU (it implements
         # recency-dict LRU only).
         self._all_private_fast = (
@@ -349,9 +349,11 @@ class CacheHierarchy:
     def all_private_fast(self) -> bool:
         """True when every core's search orders are its own slices alone.
 
-        This is the precondition for the batch engine's specialised
-        all-private kernel (``repro.sim.batch``): singleton local groups at
-        both levels, true LRU, no fault-disabled slices in any core's path.
+        Singleton local groups at both levels, true LRU, no fault-disabled
+        slices in any core's path.  It gates the batch engine's per-core
+        kernel (``repro.sim.batch``), which additionally needs an epoch with
+        no shared lines, and names the ``batch-private`` tier of the
+        slice-group kernel otherwise.
         """
         return self._all_private_fast
 

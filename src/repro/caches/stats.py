@@ -57,7 +57,7 @@ class CoreStats:
         kernel loop and flushes once per epoch; integer addition commutes,
         so the totals are identical to per-access increments.  The remote
         counts only arise under merged topologies (the group kernel); the
-        private kernels leave them at the default 0.
+        per-core kernel and all-private epochs leave them at the default 0.
         """
         self.accesses += accesses
         self.l1_hits += l1_hits

@@ -1,14 +1,16 @@
 """Active Cache Footprint Vectors (Section 2.1).
 
 An ACFV is a small bit vector summarising the active footprint of a thread
-in one cache slice's worth of capacity.  Bits are set when a tag is brought
-in or reused and cleared when the hashed victim tag is replaced; all vectors
-are reset at each reconfiguration interval so stale data stops counting.
+in one cache slice's worth of capacity.  In the paper, bits are set when a
+tag is brought in or reused and cleared when the hashed victim tag is
+replaced; all vectors are reset at each reconfiguration interval so stale
+data stops counting.  Here only reuse (a hit) sets a bit and eviction
+clears nothing — see :class:`AcfvBank` for why.
 
 The paper states "there is an ACFV per-core, per cache slice".  In the
 private base topology those coincide; this implementation keeps one ACFV per
-*core* per level, updated by that core's fills/hits and its lines' evictions
-regardless of which physical slice of a merged group the line lands in.
+*core* per level, updated by that core's hits regardless of which physical
+slice of a merged group the line lands in.
 That realises both properties the paper relies on:
 
 (i) ``|ACFV|`` tracks the core's active utilisation in slice-capacity
@@ -27,7 +29,7 @@ uses the raw count, exactly as the hardware would.
 from __future__ import annotations
 
 import math
-from typing import Collection, Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Sequence
 
 import numpy as np
 
@@ -56,10 +58,6 @@ class Acfv:
         mask[self.hash.many(tags)] = True
         self._vector |= int.from_bytes(
             np.packbits(mask, bitorder="little").tobytes(), "little")
-
-    def clear(self, tag: int) -> None:
-        """Mark the hashed tag inactive (data replaced)."""
-        self._vector &= ~(1 << self.hash(tag))
 
     def reset(self) -> None:
         """Zero the vector (start of a reconfiguration interval)."""
@@ -124,20 +122,18 @@ class Acfv:
 class AcfvBank(HierarchyObserver):
     """Per-core, per-level ACFVs attached to a cache hierarchy.
 
-    The bank implements the hierarchy's observer interface: fills and hits
-    set bits in the acting core's vector, evictions clear bits in the
-    evicted line's owner's vector.
+    The bank implements the hierarchy's observer interface: hits set bits
+    in the acting core's vector; fills and evictions leave the vectors
+    alone (see the hook notes below).
     """
 
     def __init__(self, n_cores: int, l2_bits: int, l3_bits: int,
-                 hash_name: str = "xor",
-                 clear_levels: Optional[Sequence[str]] = ()) -> None:
+                 hash_name: str = "xor") -> None:
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
         self.n_cores = n_cores
         self.l2_bits = l2_bits
         self.l3_bits = l3_bits
-        self.clear_levels = frozenset(clear_levels or ())
         self.vectors: Dict[str, List[Acfv]] = {
             "l2": [Acfv(l2_bits, hash_name) for _ in range(n_cores)],
             "l3": [Acfv(l3_bits, hash_name) for _ in range(n_cores)],
@@ -163,11 +159,12 @@ class AcfvBank(HierarchyObserver):
     #   rotate — which is precisely what makes capacity starvation read as
     #   high utilisation for the condition (i) donor/recipient contrast.
     #   Staleness is handled by the epoch reset.  The paper's continuous
-    #   eviction-time clear (available via ``clear_levels``) would instead
-    #   track the *resident* reused subset; with decisions taken only at
-    #   epoch boundaries, the accumulated epoch working set is the demand
-    #   signal the merge conditions need — clearing erases the evidence of
-    #   over-capacity demand exactly for the threads merging would help.
+    #   eviction-time clear is not modelled (the bank inherits the no-op
+    #   ``on_evict``): it would track the *resident* reused subset; with
+    #   decisions taken only at epoch boundaries, the accumulated epoch
+    #   working set is the demand signal the merge conditions need —
+    #   clearing erases the evidence of over-capacity demand exactly for
+    #   the threads merging would help.
 
     def on_hit(self, level: str, slice_id: int, core: int, tag: int) -> None:
         self.vectors[level][core].set(tag)
@@ -187,14 +184,6 @@ class AcfvBank(HierarchyObserver):
 
     def on_fill(self, level: str, slice_id: int, core: int, tag: int) -> None:
         """Fills do not count until the line proves reuse with a hit."""
-
-    def on_evict(self, level: str, slice_id: int, tag: int,
-                 owner: Optional[int] = None) -> None:
-        if level not in self.clear_levels:
-            return
-        target = owner if owner is not None else slice_id
-        if 0 <= target < self.n_cores:
-            self.vectors[level][target].clear(tag)
 
     # -- queries used by the decision engine --------------------------------
 

@@ -36,7 +36,8 @@ Why reordering is sound — the set-partition argument (DESIGN.md §7):
    kernels therefore do not call ``on_hit`` at all: each adds the hit line
    to its core's L2 or L3 hit set and flushes the sets into the ACFVs with
    one vectorised hash per core (:meth:`AcfvBank.record_hits`) — the
-   per-core kernel right after that core's loop, the others at kernel end.
+   per-core kernel right after that core's loop, the slice-group kernel at
+   kernel end.
    The result is exact: OR is idempotent and commutative, fault injection
    flips ACFV bits before the epoch's first access, and the controller
    reads the vectors only after the epoch returns.
@@ -48,27 +49,32 @@ Why reordering is sound — the set-partition argument (DESIGN.md §7):
    reproduces the scalar loop bit for bit.  Configurations outside that
    envelope fall back to order-preserving accounting.
 
-Kernels:
+Kernels (all three behind one gate: an order-free observer, true LRU and
+exact timing summation, :func:`_timing_exact`):
 
-- **private** — all-private LRU topologies
-  (``CacheHierarchy.all_private_fast``): the hottest benchmark path.  A
-  single tight loop with the slice probes inlined, per-core integer
-  counters instead of per-access stat increments and no per-access timing
-  calls; ≥3× the event engine (BENCH_batch.json).
-- **merged / shared** — LRU topologies with multi-slice groups (the
-  configurations MorphCache's merge decisions create, including under
-  faults): the slice-group kernel (:func:`_run_group_kernel`).  Sets are
-  partitioned at the slice-*group* level — the set-partition argument
-  holds unchanged because every slice of a group is probed at the same
-  set index — and the per-access probe of every group slice is replaced
-  by one aggregate ``line -> slice`` residency map per multi-slice group
-  (:meth:`CacheHierarchy.group_line_index`), built by a single scan,
-  cached across epochs and maintained incrementally by the kernel's own
-  fills/evictions/back-invalidations/lazy invalidations.  A per-set
-  recency index beside it (:func:`_recency_index`) makes fill placement
-  O(1): a full group set's LRU victim is its first key.  The ``shared``
-  tag is the fully-shared special case (one L2 group spanning the
-  machine); mechanically the same kernel.
+- **per-core** — all-private LRU topologies
+  (``CacheHierarchy.all_private_fast``) whose epoch touches no line another
+  core has referenced (:func:`_percore_applicable`): every multiprogrammed
+  mix.  Each core's trace runs back-to-back in its own tight loop with the
+  slice probes inlined, per-core integer counters instead of per-access
+  stat increments and no per-access timing calls; the fastest path
+  (BENCH_batch.json).
+- **slice group** — every other LRU epoch: merged and shared topologies
+  (the configurations MorphCache's merge decisions create, including
+  under faults) and all-private epochs with shared lines (the PARSEC
+  programs' shared address space), run by :func:`_run_group_kernel`.
+  Sets are partitioned at the slice-*group* level — the set-partition
+  argument holds unchanged because every slice of a group is probed at
+  the same set index — and the per-access probe of every group slice is
+  replaced by one aggregate ``line -> slice`` residency map per
+  multi-slice group (:meth:`CacheHierarchy.group_line_index`), built by a
+  single scan, cached across epochs and maintained incrementally by the
+  kernel's own fills/evictions/back-invalidations/lazy invalidations.  A
+  per-set recency index beside it (:func:`_recency_index`) makes fill
+  placement O(1): a full group set's LRU victim is its first key.
+  Singleton groups probe their one slice directly.  The tier tag names
+  the topology only: ``batch-private`` when all-private, ``batch-shared``
+  for one L2 group spanning the machine, ``batch-merged`` otherwise.
 - **general** — anything else (PLRU, order-sensitive observers,
   timing-inexact configurations): the real access path driven in global
   order with batched timing.
@@ -147,31 +153,25 @@ def run_epoch_batch(system, traces: Dict[int, object],
     hier = system.hierarchy
     gap_sums = {core: int(traces[core].gaps[:n_accesses].sum())
                 for core in active}
-    order_free = _observer_order_free(hier)
-
-    if (hier.all_private_fast
-            and order_free
-            and _private_timing_exact(hier, timers, active, gap_sums,
-                                      n_accesses)):
-        if _percore_applicable(hier, traces, active, n_accesses):
+    if (_observer_order_free(hier)
+            and hier.config.replacement == "lru"
+            and _timing_exact(hier, timers, active, gap_sums, n_accesses)):
+        if (hier.all_private_fast
+                and _percore_applicable(hier, traces, active, n_accesses)):
             _run_private_percore(hier, timers, traces, active, n_accesses,
                                  gap_sums)
             _mark_percore_clean(hier)
             return _record_tier(PRIVATE_PERCORE)
         lines, writes, cores = _interleave(traces, active, n_accesses)
-        _run_private_kernel(hier, timers, active, n_accesses,
-                            lines, writes, cores, gap_sums)
-        return _record_tier(PRIVATE_KERNEL)
-    if (order_free
-            and hier.config.replacement == "lru"
-            and _group_timing_exact(hier, timers, active, gap_sums,
-                                    n_accesses)):
-        lines, writes, cores = _interleave(traces, active, n_accesses)
         _run_group_kernel(hier, timers, active, n_accesses,
                           lines, writes, cores, gap_sums)
-        # Fully shared (one L2 group spanning the machine) is the paper's
-        # "(cores:1:1)" end of the spectrum; anything else multi-slice is
-        # a merged topology.  The distinction is observability only.
+        # The tag names the topology, not a separate kernel: all-private
+        # (singleton groups everywhere, shared lines present), fully shared
+        # (one L2 group spanning the machine, the paper's "(cores:1:1)"),
+        # or any other merged grouping.  The distinction is observability
+        # only.
+        if hier.all_private_fast:
+            return _record_tier(PRIVATE_KERNEL)
         if len(hier._l2_groups) == 1:
             return _record_tier(SHARED_KERNEL)
         return _record_tier(MERGED_KERNEL)
@@ -206,44 +206,26 @@ def _interleave(traces, active: List[int],
 def _observer_order_free(hier: CacheHierarchy) -> bool:
     """Whether the installed observer commutes across partitions.
 
-    The base observer's hooks are no-ops; an :class:`AcfvBank` with no
-    eviction-time clearing only ever ORs bits in on hits, so the final
+    The base observer's hooks are no-ops, and an :class:`AcfvBank` only
+    ever ORs bits in on hits (it never clears on eviction), so the final
     vectors are independent of cross-partition order — and of *when* the
     bits are ORed in, which lets the kernels buffer each core's hit lines
     and flush them once per epoch (:func:`_flush_hits`): OR is idempotent
     and commutative, faults flip bits before any access, and nothing reads
-    the vectors until the epoch returns.  Any other observer
-    (or clear-on-evict banks, where a cross-partition hash collision could
-    interleave a set and a clear of the same bit differently) routes the
+    the vectors until the epoch returns.  Any other observer routes the
     epoch to the order-preserving general kernel.
     """
-    observer = hier.observer
-    if type(observer) is HierarchyObserver:
-        return True
-    if type(observer) is AcfvBank:
-        return not observer.clear_levels
-    return False
+    return type(hier.observer) in (HierarchyObserver, AcfvBank)
 
 
-def _private_timing_exact(hier, timers, active, gap_sums,
-                          n_accesses: int) -> bool:
-    """Whether every active timer admits exact order-free summation."""
-    lat = hier.config.latency
-    max_latency = max(lat.l1_hit, lat.l2_local_hit, lat.l3_local_hit,
-                      lat.memory) + lat.coherence_invalidate
-    for core in active:
-        timer = timers[core]
-        bound = timer.cycles + gap_sums[core] + n_accesses * max_latency + 1
-        if not timer.batch_summation_exact(bound):
-            return False
-    return True
+def _timing_exact(hier, timers, active, gap_sums, n_accesses: int) -> bool:
+    """Whether every active timer admits exact order-free summation.
 
-
-def _group_timing_exact(hier, timers, active, gap_sums,
-                        n_accesses: int) -> bool:
-    """The exactness check for the group kernel: its latency bound must
-    additionally cover remote merged hits (distance span, bus-fault
-    penalty), which :meth:`CacheHierarchy.max_access_latency` folds in."""
+    The epoch's cycles are bounded with :meth:`CacheHierarchy.
+    max_access_latency` (worst remote merged hit, bus span and fault
+    penalty, coherence adder) for every access — a loose over-estimate,
+    far inside the exact range for any realistic run.
+    """
     max_latency = hier.max_access_latency()
     for core in active:
         timer = timers[core]
@@ -286,19 +268,21 @@ def _flush_hits(hier: CacheHierarchy, active: List[int],
 # the stamp, groups or fault sets changed outside this kernel), and each
 # epoch's trace lines are checked against it.  Any conflict — two owners
 # for a line, a multi-holder directory entry, a trace touching a foreign
-# line, a multi-slice L3 cover under faults — falls back to the partition
+# line, a multi-slice L3 cover under faults — falls back to the slice-group
 # kernel, which handles sharing exactly.
 
 _PERCORE_ATTR = "_batch_percore_state"
 
 
-def _percore_marker(hier: CacheHierarchy) -> tuple:
-    """Fingerprint of everything that can move state outside this kernel.
+def _state_marker(hier: CacheHierarchy) -> tuple:
+    """Fingerprint of everything that can move cache state outside a kernel.
 
-    The stamp advances on every access (any engine), and group/fault
-    changes cover reconfiguration repair, which mutates state without
-    consuming stamps.  Repair only *removes* entries, so a stale owner map
-    can never hide new sharing — at worst it fails a check conservatively.
+    Both the per-core owner map and the slice-group residency maps are
+    cached under it.  The stamp advances on every access (any engine), and
+    group/fault changes cover reconfiguration repair, which mutates state
+    without consuming stamps.  Repair only *removes* entries, so a stale
+    owner map can never hide new sharing — at worst it fails a check
+    conservatively.
     """
     return (hier._stamp,
             tuple(hier._l2_groups), tuple(hier._l3_groups),
@@ -364,7 +348,7 @@ def _percore_applicable(hier: CacheHierarchy, traces, active: List[int],
     if any(len(group) != 1 for group in hier._l2_group_of):
         return False
     state = getattr(hier, _PERCORE_ATTR, None)
-    if state is None or state["marker"] != _percore_marker(hier):
+    if state is None or state["marker"] != _state_marker(hier):
         state = {"marker": None, "maps": _scan_owners(hier)}
         setattr(hier, _PERCORE_ATTR, state)
     maps = state["maps"]
@@ -391,7 +375,7 @@ def _percore_applicable(hier: CacheHierarchy, traces, active: List[int],
                     slots[line_slot] = -1
             elif owner != core:
                 # Shared line (or a stale claim on a long-dead one):
-                # conservative fallback; the partition kernel is exact.
+                # conservative fallback; the slice-group kernel is exact.
                 return False
     return True
 
@@ -399,7 +383,7 @@ def _percore_applicable(hier: CacheHierarchy, traces, active: List[int],
 def _mark_percore_clean(hier: CacheHierarchy) -> None:
     """Record that the cached owner map matches the post-epoch state."""
     state = getattr(hier, _PERCORE_ATTR)
-    state["marker"] = _percore_marker(hier)
+    state["marker"] = _state_marker(hier)
 
 
 def _run_private_percore(hier: CacheHierarchy, timers, traces,
@@ -423,7 +407,7 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
     L1 index itself — so deleting the entries that left the L1 and adding
     fresh ``{core}`` singletons for the ones that joined, once per core,
     yields the identical final directory.  Statistics and timing flush per
-    core from integer counts, as in the partition kernel.
+    core from integer counts, as in the slice-group kernel.
     """
     config = hier.config
     k = len(active)
@@ -597,265 +581,15 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
                               offchip)
 
 
-# -- the all-private kernel --------------------------------------------------
-
-def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
-                        n_accesses: int, lines: np.ndarray,
-                        writes: np.ndarray, cores: np.ndarray,
-                        gap_sums: Dict[int, int]) -> None:
-    """Set-partitioned resolution of an all-private LRU epoch.
-
-    Semantically identical to ``CacheHierarchy.access`` driven in global
-    order on an all-private topology, with the whole access *and fill*
-    chain inlined into one loop: the probes and recency updates are the
-    same dict operations, the fills/evictions/back-invalidations mutate the
-    same per-set recency dicts the hierarchy's own ``_fill_group``/
-    ``_fill_l1``/``_back_invalidate`` would (a recycled victim entry gets
-    every field rewritten, ``filled`` included), and per-core integer
-    counts replace per-access stat and timer updates
-    (flushed once at the end; integer sums commute and the timing
-    decomposition is exact, see module docstring).  Observer
-    ``on_fill``/``on_evict`` calls are elided outright: the kernel only runs
-    under :func:`_observer_order_free`, where both hooks are no-ops
-    (``AcfvBank.on_fill`` never counts fills and ``on_evict`` returns
-    immediately with ``clear_levels`` empty).
-    """
-    config = hier.config
-    n_cores = config.cores
-    total = len(lines)
-    base = hier.advance_stamp(total)
-
-    part_mask = hier.partition_sets - 1
-    if part_mask:
-        order = np.argsort(lines & part_mask, kind="stable")
-        stamps_list = (order + (base + 1)).tolist()
-        lines_list = lines[order].tolist()
-        writes_list = writes[order].tolist()
-        cores_list = cores[order].tolist()
-    else:
-        # One partition: the global order is already the per-set order.
-        stamps_list = list(range(base + 1, base + total + 1))
-        lines_list = lines.tolist()
-        writes_list = writes.tolist()
-        cores_list = cores.tolist()
-
-    l1s, l2s, l3s = hier.l1s, hier.l2s, hier.l3s
-    l1_idx = [s._index for s in l1s]
-    l2_idx = [s._index for s in l2s]
-    l3_idx = [s._index for s in l3s]
-    m1 = config.l1.sets - 1
-    m2 = config.l2_slice.sets - 1
-    m3 = config.l3_slice.sets - 1
-    w1 = config.l1.ways
-    w2 = config.l2_slice.ways
-    w3 = config.l3_slice.ways
-    # With sibling slices fault-disabled a core can be private-fast while
-    # its L3 group still covers several L2 slices; inclusion then sweeps
-    # them all, exactly as _back_invalidate does.
-    l3_cover = [hier._l3_group_of[c] for c in range(n_cores)]
-    directory = hier._l1_directory
-    notify_hit = hier._notify_hit
-    # Per-core L2/L3 hit lines, flushed into the ACFVs at kernel end.
-    hits2 = [set() for _ in range(n_cores)]
-    hits3 = [set() for _ in range(n_cores)]
-    inval_others = hier._invalidate_other_l1s
-    new_entry = Entry
-
-    lat = config.latency
-    lat_l1, lat_l2, lat_l3 = lat.l1_hit, lat.l2_local_hit, lat.l3_local_hit
-    lat_mem, coh = lat.memory, lat.coherence_invalidate
-
-    c_l1 = [0] * n_cores
-    c_l2 = [0] * n_cores
-    c_l3 = [0] * n_cores
-    c_mem = [0] * n_cores
-    ins2 = [0] * n_cores
-    evi2 = [0] * n_cores
-    ins3 = [0] * n_cores
-    evi3 = [0] * n_cores
-    lat_extra = [0] * n_cores
-    off_extra = [0] * n_cores
-    # Off-chip-threshold crossings a coherence penalty can cause, per core
-    # and hit level (0 in any realistic configuration; kept exact anyway).
-    hc1 = [0] * n_cores
-    hc2 = [0] * n_cores
-    hc3 = [0] * n_cores
-    hcm = [0] * n_cores
-    for core in active:
-        ml = timers[core].memory_latency
-        hc1[core] = int(lat_l1 + coh >= ml) - int(lat_l1 >= ml)
-        hc2[core] = int(lat_l2 + coh >= ml) - int(lat_l2 >= ml)
-        hc3[core] = int(lat_l3 + coh >= ml) - int(lat_l3 >= ml)
-        hcm[core] = int(lat_mem + coh >= ml) - int(lat_mem >= ml)
-
-    for line, write, core, stamp in zip(lines_list, writes_list,
-                                        cores_list, stamps_list):
-        # L1 probe (recency-dict hit), as in CacheHierarchy.access.
-        set1 = line & m1
-        bucket1 = l1_idx[core][set1]
-        entry = bucket1.get(line)
-        if entry is not None:
-            entry.stamp = stamp
-            del bucket1[line]
-            bucket1[line] = entry
-            c_l1[core] += 1
-            if write:
-                entry.dirty = True
-                holders = directory.get(line)
-                if holders is not None and len(holders) > 1:
-                    lat_extra[core] += inval_others(core, line)
-                    off_extra[core] += hc1[core]
-            continue
-
-        # L2 probe.
-        bucket2 = l2_idx[core][line & m2]
-        entry = bucket2.get(line)
-        if entry is not None:
-            entry.stamp = stamp
-            del bucket2[line]
-            bucket2[line] = entry
-            c_l2[core] += 1
-            hc_level = hc2
-            if notify_hit:
-                hits2[core].add(line)
-        else:
-            # L3 probe.
-            bucket3 = l3_idx[core][line & m3]
-            entry = bucket3.get(line)
-            if entry is not None:
-                entry.stamp = stamp
-                del bucket3[line]
-                bucket3[line] = entry
-                c_l3[core] += 1
-                hc_level = hc3
-                if notify_hit:
-                    hits3[core].add(line)
-            else:
-                # Main memory; fill L3 (inlined singleton _fill_group,
-                # observer fill/evict hooks elided — no-ops under the gate).
-                c_mem[core] += 1
-                hc_level = hcm
-                ins3[core] += 1
-                if len(bucket3) >= w3:
-                    for v_line in bucket3:
-                        break
-                    victim = bucket3.pop(v_line)
-                    victim.line = line
-                    victim.owner = core
-                    victim.dirty = write
-                    victim.stamp = victim.filled = stamp
-                    bucket3[line] = victim
-                    evi3[core] += 1
-                    # Inclusion (_back_invalidate at L3): drop the victim
-                    # from every covered L2 slice, then from the L1s.
-                    v_set2 = v_line & m2
-                    for cov in l3_cover[core]:
-                        if l2_idx[cov][v_set2].pop(v_line, None) is not None:
-                            evi2[cov] += 1
-                    holders = directory.get(v_line)
-                    if holders:
-                        v_set1 = v_line & m1
-                        for hc in holders:
-                            l1_idx[hc][v_set1].pop(v_line, None)
-                        del directory[v_line]
-                else:
-                    bucket3[line] = new_entry(line, core, write, stamp)
-
-            # Fill L2 (both the L3-hit and memory paths).
-            ins2[core] += 1
-            if len(bucket2) >= w2:
-                for v_line in bucket2:
-                    break
-                victim = bucket2.pop(v_line)
-                victim.line = line
-                victim.owner = core
-                victim.dirty = write
-                victim.stamp = victim.filled = stamp
-                bucket2[line] = victim
-                evi2[core] += 1
-                # Inclusion (_back_invalidate at L2): L1 holders only.
-                holders = directory.get(v_line)
-                if holders:
-                    v_set1 = v_line & m1
-                    for hc in holders:
-                        l1_idx[hc][v_set1].pop(v_line, None)
-                    del directory[v_line]
-            else:
-                bucket2[line] = new_entry(line, core, write, stamp)
-
-        # Fill L1 (every non-L1-hit path; inlined _fill_l1).
-        if len(bucket1) >= w1:
-            for v_line in bucket1:
-                break
-            victim = bucket1.pop(v_line)
-            holders = directory.get(v_line)
-            if holders is not None:
-                holders.discard(core)
-                if not holders:
-                    del directory[v_line]
-            if victim.dirty:
-                l2e = l2_idx[core][v_line & m2].get(v_line)
-                if l2e is not None:
-                    l2e.dirty = True
-            victim.line = line
-            victim.owner = core
-            victim.dirty = write
-            victim.stamp = victim.filled = stamp
-            bucket1[line] = victim
-        else:
-            bucket1[line] = new_entry(line, core, write, stamp)
-        holders = directory.get(line)
-        if holders is None:
-            directory[line] = {core}
-        else:
-            holders.add(core)
-
-        if write:
-            holders = directory.get(line)
-            if holders is not None and len(holders) > 1:
-                lat_extra[core] += inval_others(core, line)
-                off_extra[core] += hc_level[core]
-
-    # Flush: integer sums into the real stats, one exact reduction per timer.
-    core_stats = hier.stats.cores
-    l2_stats = hier._l2_slice_stats
-    l3_stats = hier._l3_slice_stats
-    for c in range(n_cores):
-        if ins2[c] or evi2[c]:
-            stats = l2_stats[c]
-            stats.insertions += ins2[c]
-            stats.evictions += evi2[c]
-        if ins3[c] or evi3[c]:
-            stats = l3_stats[c]
-            stats.insertions += ins3[c]
-            stats.evictions += evi3[c]
-    for core in active:
-        n1, n2, n3, nm = c_l1[core], c_l2[core], c_l3[core], c_mem[core]
-        core_stats[core].add_access_counts(
-            accesses=n_accesses, l1_hits=n1, l2_local_hits=n2,
-            l3_local_hits=n3, memory_accesses=nm,
-            memory_cycles=nm * lat_mem)
-        l2_stats[core].add_probe_counts(hits=n2, misses=n3 + nm)
-        l3_stats[core].add_probe_counts(hits=n3, misses=nm)
-        timer = timers[core]
-        ml = timer.memory_latency
-        latency_sum = (n1 * lat_l1 + n2 * lat_l2 + n3 * lat_l3
-                       + nm * lat_mem + lat_extra[core])
-        offchip = (n1 * int(lat_l1 >= ml) + n2 * int(lat_l2 >= ml)
-                   + n3 * int(lat_l3 >= ml) + nm * int(lat_mem >= ml)
-                   + off_extra[core])
-        timer.account_summary(n_accesses, gap_sums[core], latency_sum,
-                              offchip)
-    _flush_hits(hier, active, hits2, hits3)
-
-
-# -- the slice-group kernel (merged / shared topologies) ---------------------
+# -- the slice-group kernel (every other LRU epoch) --------------------------
 #
 # The configurations MorphCache's merge decisions create — multi-slice L2/L3
 # groups, up to one fully-shared group spanning the machine — used to run on
 # the general kernel at ~event-engine speed, because each access probed every
 # slice of its group through the full Python access path.  The group kernel
 # closes that gap with one idea: a *group-level aggregate residency map*.
+# Singleton groups need no map (their one slice is probed directly), so the
+# same loop also resolves all-private epochs whose cores share lines.
 #
 # Within an epoch the topology is frozen, so for each multi-slice group a
 # single scan builds ``line -> holding slice`` (with a side map for the
@@ -870,8 +604,8 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
 # the per-core kernel uses (stamp + groups + fault sets): steady-state
 # epochs pay no scan at all.
 #
-# Bit-identity rests on the same set-partition argument as the private
-# kernel, *lifted to slice groups* (DESIGN.md §7): all slices of a group are
+# Bit-identity rests on the set-partition argument (module docstring),
+# *lifted to slice groups* (DESIGN.md §7): all slices of a group are
 # probed at one set index per level, the group-wide LRU victim search reads
 # only that set in each slice, back-invalidation and the dirty write-back
 # stay on the victim's (subset) index bits, and lazy invalidation picks its
@@ -879,7 +613,7 @@ def _run_private_kernel(hier: CacheHierarchy, timers, active: List[int],
 # Everything latency-relevant is precomputed per epoch (per-core × per-slice
 # hit latency tables honouring ``charge_remote_latency``, the segmented-bus
 # distance span and any bus-fault penalty), and timing flushes through one
-# exact reduction per core, gated by :func:`_group_timing_exact`.
+# exact reduction per core, gated by :func:`_timing_exact`.
 
 _GROUP_ATTR = "_batch_group_state"
 
@@ -897,7 +631,7 @@ def _group_state(hier: CacheHierarchy) -> dict:
     (directly calling ``CacheSlice.flush`` etc.) is outside the contract.
     """
     state = getattr(hier, _GROUP_ATTR, None)
-    if state is None or state["marker"] != _percore_marker(hier):
+    if state is None or state["marker"] != _state_marker(hier):
         maps = {}
         for level, groups, slices in ((L2, hier._l2_groups, hier.l2s),
                                       (L3, hier._l3_groups, hier.l3s)):
@@ -934,7 +668,7 @@ def _recency_index(slices, group: Tuple[int, ...]) -> List[Dict[Entry, int]]:
 
 def _mark_group_clean(hier: CacheHierarchy) -> None:
     """Record that the cached residency maps match the post-epoch state."""
-    getattr(hier, _GROUP_ATTR)["marker"] = _percore_marker(hier)
+    getattr(hier, _GROUP_ATTR)["marker"] = _state_marker(hier)
 
 
 def _group_index_remove(index: Dict[int, int], dups: Dict[int, set],
@@ -956,19 +690,44 @@ def _group_index_remove(index: Dict[int, int], dups: Dict[int, set],
             del dups[line]
 
 
+def _lazy_invalidate(sets, set_index: int, line: int,
+                     index: Dict[int, int], dups: Dict[int, set],
+                     rec: Dict[Entry, int], lazy: List[int]) -> int:
+    """Replay lazy invalidation of a line a merge left duplicated in a group.
+
+    The freshest copy wins (stamps are unique, so max-by-stamp is
+    order-free), the others leave their slices and the set's recency
+    index, their dirtiness folds into the winner and each counts one lazy
+    invalidation on its slice.  Returns the winning slice, now the line's
+    sole holder in the residency map.
+    """
+    copies = sorted(((sets[ds][set_index][line], ds) for ds in dups.pop(line)),
+                    key=lambda it: it[0].stamp, reverse=True)
+    keep, winner = copies[0]
+    for dup, ds in copies[1:]:
+        del sets[ds][set_index][line]
+        del rec[dup]
+        lazy[ds] += 1
+        if dup.dirty:
+            keep.dirty = True
+    index[line] = winner
+    return winner
+
+
 def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                       n_accesses: int, lines: np.ndarray, writes: np.ndarray,
                       cores: np.ndarray, gap_sums: Dict[int, int]) -> None:
-    """Set-partitioned resolution of a merged/shared LRU epoch.
+    """Set-partitioned resolution of any LRU epoch (merged, shared, or
+    all-private with shared lines).
 
     Semantically identical to ``CacheHierarchy.access`` driven in global
-    order, in the private kernel's fall-through shape: an L1 hit ends the
-    access; otherwise the L2 group probe, then on a miss the L3 group probe
-    or memory plus the L3 fill, then the L2 fill, and the L1 fill as the
-    shared tail.  Group probes resolve through the aggregate residency maps
-    (one dict lookup instead of probing every slice), hits replay ``touch``
-    on the winning slice, duplicate copies replay lazy invalidation
-    (freshest stamp wins, dirtiness folds into the winner), fills replay
+    order, in one fall-through loop: an L1 hit ends the access; otherwise
+    the L2 group probe, then on a miss the L3 group probe or memory plus
+    the L3 fill, then the L2 fill, and the L1 fill as the shared tail.
+    Group probes resolve through the aggregate residency maps (one dict
+    lookup instead of probing every slice; singleton groups probe their
+    one slice), hits replay ``touch`` on the winning slice, duplicate
+    copies replay lazy invalidation (:func:`_lazy_invalidate`), fills replay
     ``_fill_group`` placement (local slice if its set has room, else first
     slice in search order with room, else the group-wide LRU victim — read
     in O(1) as the first key of the group's per-set recency index, see
@@ -1099,77 +858,6 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             m = ml[core]
             off_extra[core] += (latency + extra >= m) - (latency >= m)
 
-    def fill_l3(core: int, line: int, write: bool, stamp: int):
-        # _fill_group at L3 with insert inlined and the residency map and
-        # recency index maintained; its back-invalidation additionally
-        # sweeps the covered L2 slices (same subset index bits, same
-        # partition).  Returns the slice filled, or None (group offline).
-        o = ord3[core]
-        if not o:
-            return None
-        set3 = line & m3
-        g = gi3[core]
-        if g is None:
-            target = o[0]
-        else:
-            rec = g[2][set3]
-            if len(rec) == full3[core]:
-                # Group set full: the recency index's first key is the
-                # group-wide LRU victim, so skip the room scan.
-                for victim in rec:
-                    break
-                target = rec[victim]
-            else:
-                # Some live slice has room, so this scan always succeeds.
-                for target in o:
-                    if len(l3_idx[target][set3]) < w3:
-                        break
-        bucket = l3_idx[target][set3]
-        ins3[target] += 1
-        if len(bucket) >= w3:
-            for v_line in bucket:
-                break
-            victim = bucket.pop(v_line)
-            victim.line = line
-            victim.owner = core
-            victim.dirty = write
-            victim.stamp = victim.filled = stamp
-            bucket[line] = victim
-            evi3[target] += 1
-            if g is not None:
-                index, dups, _ = g
-                _group_index_remove(index, dups, v_line, target)
-                index[line] = target
-                del rec[victim]
-                rec[victim] = target
-            v_set2 = v_line & m2
-            for cov, gcov in cover2[target]:
-                if gcov is None:
-                    if l2_idx[cov][v_set2].pop(v_line, None) is not None:
-                        evi2[cov] += 1
-                    continue
-                index, dups, recency = gcov
-                held = index.pop(v_line, -2)
-                if held == -2:
-                    continue
-                rec = recency[v_set2]
-                for cov in (dups.pop(v_line) if held == -1 else (held,)):
-                    del rec[l2_idx[cov][v_set2].pop(v_line)]
-                    evi2[cov] += 1
-            holders = directory.get(v_line)
-            if holders:
-                v_set1 = v_line & m1
-                for hc in holders:
-                    l1_idx[hc][v_set1].pop(v_line, None)
-                del directory[v_line]
-        else:
-            entry = new_entry(line, core, write, stamp)
-            bucket[line] = entry
-            if g is not None:
-                g[0][line] = target
-                rec[entry] = target
-        return target
-
     for line, write, core, stamp in zip(lines_list, writes_list,
                                         cores_list, stamps_list):
         # L1 probe (recency-dict hit).
@@ -1207,22 +895,8 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             if s != -2:
                 rec = recency2[set2]
                 if s == -1:
-                    # Duplicate copies from a merge: lazy invalidation.
-                    # The freshest copy wins (stamps are unique, so
-                    # max-by-stamp is order-free), the rest vanish,
-                    # dirtiness folds in.
-                    copies = sorted(
-                        ((l2_idx[ds][set2][line], ds) for ds in dups2[line]),
-                        key=lambda it: it[0].stamp, reverse=True)
-                    keep, s = copies[0]
-                    for de, ds in copies[1:]:
-                        del l2_idx[ds][set2][line]
-                        del rec[de]
-                        lazy2[ds] += 1
-                        if de.dirty:
-                            keep.dirty = True
-                    index2[line] = s
-                    del dups2[line]
+                    s = _lazy_invalidate(l2_idx, set2, line, index2, dups2,
+                                         rec, lazy2)
                 # touch(): move to the recency tail of the slice and of
                 # the group's recency index.
                 bucket2 = l2_idx[s][set2]
@@ -1256,19 +930,8 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                 if s != -2:
                     rec = recency3[set3]
                     if s == -1:
-                        copies = sorted(
-                            ((l3_idx[ds][set3][line], ds)
-                             for ds in dups3[line]),
-                            key=lambda it: it[0].stamp, reverse=True)
-                        keep, s = copies[0]
-                        for de, ds in copies[1:]:
-                            del l3_idx[ds][set3][line]
-                            del rec[de]
-                            lazy3[ds] += 1
-                            if de.dirty:
-                                keep.dirty = True
-                        index3[line] = s
-                        del dups3[line]
+                        s = _lazy_invalidate(l3_idx, set3, line, index3,
+                                             dups3, rec, lazy3)
                     b = l3_idx[s][set3]
                     entry = b.pop(line)
                     b[line] = entry
@@ -1287,10 +950,77 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                 miss3[core] += 1
                 c_mem[core] += 1
                 win = -1
-                if fill_l3(core, line, write, stamp) is None:
+                o = ord3[core]
+                if not o:
                     if write:
                         coherence(core, line, lat_mem)
                     continue
+                # Fill L3: _fill_group placement with insert inlined and the
+                # residency map and recency index maintained (a singleton
+                # group's bucket is the one its probe just missed in).
+                if g3 is not None:
+                    rec = recency3[set3]
+                    if len(rec) == full3[core]:
+                        # Group set full: the recency index's first key is
+                        # the group-wide LRU victim, so skip the room scan.
+                        for victim in rec:
+                            break
+                        target = rec[victim]
+                    else:
+                        # Some live slice has room, so this scan always
+                        # succeeds.
+                        for target in o:
+                            if len(l3_idx[target][set3]) < w3:
+                                break
+                    b = l3_idx[target][set3]
+                else:
+                    target = o[0]
+                ins3[target] += 1
+                if len(b) >= w3:
+                    for v_line in b:
+                        break
+                    victim = b.pop(v_line)
+                    victim.line = line
+                    victim.owner = core
+                    victim.dirty = write
+                    victim.stamp = victim.filled = stamp
+                    b[line] = victim
+                    evi3[target] += 1
+                    if g3 is not None:
+                        _group_index_remove(index3, dups3, v_line, target)
+                        index3[line] = target
+                        del rec[victim]
+                        rec[victim] = target
+                    # _back_invalidate at L3 additionally sweeps the covered
+                    # L2 slices (same subset index bits, same partition).
+                    v_set2 = v_line & m2
+                    for cov, gcov in cover2[target]:
+                        if gcov is None:
+                            if l2_idx[cov][v_set2].pop(v_line, None) \
+                                    is not None:
+                                evi2[cov] += 1
+                            continue
+                        index, dups, recency = gcov
+                        held = index.pop(v_line, -2)
+                        if held == -2:
+                            continue
+                        rec = recency[v_set2]
+                        for cov in (dups.pop(v_line) if held == -1
+                                    else (held,)):
+                            del rec[l2_idx[cov][v_set2].pop(v_line)]
+                            evi2[cov] += 1
+                    holders = directory.get(v_line)
+                    if holders:
+                        v_set1 = v_line & m1
+                        for hc in holders:
+                            l1_idx[hc][v_set1].pop(v_line, None)
+                        del directory[v_line]
+                else:
+                    entry = new_entry(line, core, write, stamp)
+                    b[line] = entry
+                    if g3 is not None:
+                        index3[line] = target
+                        rec[entry] = target
 
             # Fill L2: _fill_group placement with insert inlined and the
             # residency map and recency index maintained.

@@ -17,12 +17,6 @@ class TestAcfv:
         acfv.set(2)
         assert acfv.ones >= 1  # collisions possible
 
-    def test_clear_removes_bit(self):
-        acfv = Acfv(64)
-        acfv.set(5)
-        acfv.clear(5)
-        assert acfv.ones == 0
-
     def test_reset(self):
         acfv = Acfv(64)
         for tag in range(30):
@@ -99,8 +93,8 @@ class TestAcfv:
 
 
 class TestAcfvBank:
-    def make_bank(self, **kwargs):
-        return AcfvBank(n_cores=4, l2_bits=64, l3_bits=128, **kwargs)
+    def make_bank(self):
+        return AcfvBank(n_cores=4, l2_bits=64, l3_bits=128)
 
     def test_hit_sets_both_levels_for_l2(self):
         bank = self.make_bank()
@@ -124,12 +118,6 @@ class TestAcfvBank:
         bank.on_hit("l2", 0, 0, 42)
         bank.on_evict("l2", 0, 42, owner=0)
         assert bank.acfv("l2", 0).ones == 1
-
-    def test_evict_clears_when_level_configured(self):
-        bank = self.make_bank(clear_levels=("l2",))
-        bank.on_hit("l2", 0, 0, 42)
-        bank.on_evict("l2", 0, 42, owner=0)
-        assert bank.acfv("l2", 0).ones == 0
 
     def test_group_utilization_saturating_scale(self):
         bank = self.make_bank()

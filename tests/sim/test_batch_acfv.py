@@ -78,9 +78,10 @@ def test_percore_tier_acfvs_identical():
 
 
 def test_private_and_merged_tier_acfvs_identical():
-    # canneal shares one address space: the warm-up epoch runs the private
-    # partition kernel, and the controller merges at its first boundary,
-    # so the next epochs run the slice-group kernel.
+    # canneal shares one address space: the warm-up epoch runs the
+    # slice-group kernel on the all-private topology (``batch-private``),
+    # and the controller merges at its first boundary, so the next epochs
+    # run it on merged groups.
     _assert_acfvs_match(Workload.from_parsec("canneal"),
                         [PRIVATE_KERNEL, MERGED_KERNEL, MERGED_KERNEL])
 

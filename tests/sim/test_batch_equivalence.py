@@ -26,7 +26,7 @@ dispatch tests below also pin *which* tier each topology lands on — a
 silent fall-through to ``batch-general`` fails CI here, not just in the
 benchmark job.
 
-A Hypothesis property test drives the private kernels with adversarial
+A Hypothesis property test drives the all-private tiers with adversarial
 random traces (tiny geometry, heavy set collisions, optional sharing) so
 the inlined probe/fill/evict sequences are checked against the dict-backed
 ``CacheSlice`` semantics far outside the synthetic workloads' layout.
@@ -368,7 +368,7 @@ def test_dispatch_tier_metric_counts_epochs(monkeypatch):
         assert counter.labels(tier=tier).value == 1, tier
 
 
-# -- property test: random traces through the private kernels ----------------
+# -- property test: random traces through the all-private tiers --------------
 
 
 class _Trace:
@@ -401,7 +401,7 @@ def test_private_kernels_match_event_on_random_traces(data, shared, length):
     """Adversarial traces: batch == event through the dict-backed slices.
 
     ``shared=True`` forces overlapping per-core address ranges, driving the
-    partition kernel's coherence/invalidations; ``shared=False`` lets the
+    slice-group kernel's coherence/invalidations; ``shared=False`` lets the
     per-core tier engage.  Both must leave the hierarchy (entries, LRU
     recency, stamps, stats, directory) and the timers bit-identical to the
     event engine's.

@@ -23,15 +23,18 @@ from repro.cpu.core_model import CoreTimingModel
 from repro.resilience.checkpoint import state_digest
 from repro.sim.batch import (
     MERGED_KERNEL,
+    PRIVATE_KERNEL,
     SHARED_KERNEL,
-    _percore_marker,
+    _state_marker,
     run_epoch_batch,
 )
 from repro.sim.engine import run_epoch
 
 from tests.sim.test_batch_property import _draw_topology
 
-GROUP_TAGS = (MERGED_KERNEL, SHARED_KERNEL)
+#: Tags of epochs the slice-group kernel resolved (all-private epochs with
+#: shared lines run it too, under the ``batch-private`` tag).
+GROUP_TAGS = (PRIVATE_KERNEL, MERGED_KERNEL, SHARED_KERNEL)
 
 
 def assert_group_index_consistent(hier):
@@ -46,7 +49,7 @@ def assert_group_index_consistent(hier):
     marked clean.
     """
     state = hier._batch_group_state
-    assert state["marker"] == _percore_marker(hier)
+    assert state["marker"] == _state_marker(hier)
     maps = state["maps"]
     for level, groups, slices in ((L2, hier._l2_groups, hier.l2s),
                                   (L3, hier._l3_groups, hier.l3s)):
@@ -129,17 +132,28 @@ def _draw_merged_topology(draw, cores):
     return l2_groups, l3_groups
 
 
+def _draw_group_topology(draw, cores):
+    """A merged topology, or the all-singleton one: all-private epochs whose
+    cores share lines run the group kernel too, and the private -> merged
+    transition is MorphCache's first boundary on a shared address space."""
+    if draw(st.booleans()):
+        singletons = [(core,) for core in range(cores)]
+        return singletons, singletons
+    return _draw_merged_topology(draw, cores)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_recency_index_invariant_across_epochs(data):
-    """Random merged/shared topologies, mid-run reconfigurations that merge
-    slices holding copies of shared lines, and ``disable-slice`` faults
-    inside merged groups: after every batch epoch the cached index is
-    exact and the state matches the event engine."""
+    """Random merged/shared topologies, mid-run reconfigurations (to
+    all-private and back) that merge slices holding copies of shared lines,
+    and ``disable-slice`` faults inside merged groups: after every
+    group-kernel epoch the cached index is exact, and after every epoch
+    the state matches the event engine."""
     draw = data.draw
     cores = draw(st.sampled_from([4, 8]))
     config = SMALL_WAYS.with_(cores=cores)
-    pair = _pair(config, *_draw_merged_topology(draw, cores))
+    pair = _pair(config, *_draw_group_topology(draw, cores))
     length = draw(st.integers(16, 48))
     group_epochs = 0
     for epoch in range(draw(st.integers(2, 4))):
@@ -147,7 +161,10 @@ def test_recency_index_invariant_across_epochs(data):
             action = draw(st.sampled_from(["none", "reconfigure", "fault"]))
             hier = pair[1].hierarchy
             if action == "reconfigure":
-                topology = _draw_merged_topology(draw, cores)
+                # From all-private, always merge (the transition under test).
+                topology = (_draw_merged_topology(draw, cores)
+                            if hier.all_private_fast
+                            else _draw_group_topology(draw, cores))
                 for system in pair:
                     system.hierarchy.set_topology(*topology)
             elif action == "fault":

@@ -197,18 +197,26 @@ class CacheHierarchy:
                     f"L2 group {group} spans multiple L3 groups {covering}: "
                     "inclusion would be violated"
                 )
-        self._l2_groups = [tuple(g) for g in l2_groups]
-        self._l3_groups = [tuple(g) for g in l3_groups]
-        self._l2_group_of = [()] * n
-        self._l3_group_of = [()] * n
-        for group in self._l2_groups:
-            for slice_id in group:
-                self._l2_group_of[slice_id] = group
-        for group in self._l3_groups:
-            for slice_id in group:
-                self._l3_group_of[slice_id] = group
-        self._recompute_search_orders()
-        self._repair_after_reconfiguration()
+        l2_new = [tuple(g) for g in l2_groups]
+        l3_new = [tuple(g) for g in l3_groups]
+        # Reinstalling the installed grouping (most epoch boundaries) is a
+        # no-op: the disabled sets only change through set_faulted_slices,
+        # which repairs on its own, so the search orders are current and
+        # the access paths have kept every inclusion invariant the repair
+        # scan checks.
+        if l2_new != self._l2_groups or l3_new != self._l3_groups:
+            self._l2_groups = l2_new
+            self._l3_groups = l3_new
+            self._l2_group_of = [()] * n
+            self._l3_group_of = [()] * n
+            for group in self._l2_groups:
+                for slice_id in group:
+                    self._l2_group_of[slice_id] = group
+            for group in self._l3_groups:
+                for slice_id in group:
+                    self._l3_group_of[slice_id] = group
+            self._recompute_search_orders()
+            self._repair_after_reconfiguration()
         reg = obs_metrics.REGISTRY
         if reg.enabled:
             reg.counter("repro_topology_changes_total",
@@ -665,6 +673,10 @@ class CacheHierarchy:
             self.l1s[other].invalidate(line)
             holders.discard(other)
             self.stats.cores[core].coherence_invalidations += 1
+        if not holders:
+            # A writer that keeps no L1 copy (its L2 group is fault-disabled)
+            # leaves no holder; drop the entry, as every other path does.
+            del self._l1_directory[line]
         return self.config.latency.coherence_invalidate
 
     # -- invariants (used by tests and property checks) ---------------------

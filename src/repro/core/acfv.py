@@ -29,7 +29,7 @@ uses the raw count, exactly as the hardware would.
 from __future__ import annotations
 
 import math
-from typing import Collection, Dict, List, Sequence
+from typing import Collection, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,14 +50,6 @@ class Acfv:
     def set(self, tag: int) -> None:
         """Mark the hashed tag active (new or reused data)."""
         self._vector |= 1 << self.hash(tag)
-
-    def set_many(self, tags) -> None:
-        """Mark every tag of an ``int64`` array active — the same final
-        vector as calling :meth:`set` on each, in any order."""
-        mask = np.zeros(self.bits, dtype=bool)
-        mask[self.hash.many(tags)] = True
-        self._vector |= int.from_bytes(
-            np.packbits(mask, bitorder="little").tobytes(), "little")
 
     def reset(self) -> None:
         """Zero the vector (start of a reconfiguration interval)."""
@@ -119,6 +111,13 @@ class Acfv:
         return self._vector
 
 
+def _lines_array(lines: Collection[int]) -> np.ndarray:
+    """Hit lines as an ``int64`` array (arrays pass through)."""
+    if isinstance(lines, np.ndarray):
+        return lines
+    return np.fromiter(lines, dtype=np.int64, count=len(lines))
+
+
 class AcfvBank(HierarchyObserver):
     """Per-core, per-level ACFVs attached to a cache hierarchy.
 
@@ -171,16 +170,44 @@ class AcfvBank(HierarchyObserver):
         if level == "l2":
             self.vectors["l3"][core].set(tag)
 
-    def record_hits(self, core: int, l2_lines: Collection[int],
-                    l3_lines: Collection[int]) -> None:
-        """Apply a batch of ``core``'s hits at once: exactly the vectors that
-        :meth:`on_hit` per L2-hit line and per L3-hit line would leave,
-        since each hit only ORs in a bit (the L3 vector takes both sets —
-        the inclusion rule of :meth:`on_hit`)."""
-        l2 = np.fromiter(l2_lines, dtype=np.int64, count=len(l2_lines))
-        l3 = np.fromiter(l3_lines, dtype=np.int64, count=len(l3_lines))
-        self.vectors["l2"][core].set_many(l2)
-        self.vectors["l3"][core].set_many(np.concatenate((l2, l3)))
+    def record_epoch_hits(
+            self, hits: Sequence[Tuple[int, Collection[int],
+                                       Collection[int]]]) -> None:
+        """Apply a batch of hits for many cores at once: exactly the vectors
+        that :meth:`on_hit` per L2-hit line and per L3-hit line of each
+        ``(core, l2_lines, l3_lines)`` would leave, since each hit only ORs
+        in a bit (the L3 vector takes both sets — the inclusion rule of
+        :meth:`on_hit`).
+
+        One vectorised hash per level covers every core's lines: each line
+        sets its hashed bit in a ``cores x bits`` mask row, and each row is
+        packed and ORed into its core's vector.  Lines may come as any
+        collection of ints or as ``int64`` arrays.
+        """
+        if not hits:
+            return
+        cores = [core for core, _, _ in hits]
+        l2 = [_lines_array(lines) for _, lines, _ in hits]
+        l3 = [_lines_array(lines) for _, _, lines in hits]
+        rows = np.arange(len(hits))
+        rows2 = np.repeat(rows, [len(a) for a in l2])
+        rows3 = np.repeat(rows, [len(a) for a in l3])
+        lines2 = np.concatenate(l2)
+        self._or_rows("l2", cores, rows2, lines2)
+        self._or_rows("l3", cores, np.concatenate((rows2, rows3)),
+                      np.concatenate([lines2] + l3))
+
+    def _or_rows(self, level: str, cores: List[int], rows: np.ndarray,
+                 lines: np.ndarray) -> None:
+        """OR ``lines[i]``'s hashed bit into ``cores[rows[i]]``'s vector
+        (every vector of a level hashes alike, so one hash serves all)."""
+        vectors = self.vectors[level]
+        hash_ = vectors[0].hash
+        mask = np.zeros((len(cores), hash_.bits), dtype=bool)
+        mask[rows, hash_.many(lines)] = True
+        packed = np.packbits(mask, axis=1, bitorder="little")
+        for core, row in zip(cores, packed):
+            vectors[core]._vector |= int.from_bytes(row.tobytes(), "little")
 
     def on_fill(self, level: str, slice_id: int, core: int, tag: int) -> None:
         """Fills do not count until the line proves reuse with a hit."""

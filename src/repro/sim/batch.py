@@ -34,10 +34,9 @@ Why reordering is sound — the set-partition argument (DESIGN.md §7):
    (order-free); observer effects are gated to order-free ones (ACFV
    ``on_hit`` is a bitwise OR; see :func:`_observer_order_free`).  The
    kernels therefore do not call ``on_hit`` at all: each adds the hit line
-   to its core's L2 or L3 hit set and flushes the sets into the ACFVs with
-   one vectorised hash per core (:meth:`AcfvBank.record_hits`) — the
-   per-core kernel right after that core's loop, the slice-group kernel at
-   kernel end.
+   to its core's L2 or L3 hit set, and at epoch end all cores' sets go
+   into the ACFVs with one vectorised hash per level
+   (:meth:`AcfvBank.record_epoch_hits`).
    The result is exact: OR is idempotent and commutative, fault injection
    flips ACFV bits before the epoch's first access, and the controller
    reads the vectors only after the epoch returns.
@@ -81,11 +80,18 @@ exact timing summation, :func:`_timing_exact`):
 - **event fallback** — systems without a batchable hierarchy (PIPP, DSR)
   run the event engine unchanged; :func:`run_epoch_batch` reports which
   path it took.
+
+The slice-group and general kernels stream their epoch: the interleave
+and the partition order stay numpy arrays (~17 B per access), and the
+loops draw their Python lists ``_CHUNK`` accesses at a time
+(:func:`_stream`), so an epoch's Python objects no longer grow with its
+length.  The per-core kernel's lists are one core's trace at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -162,9 +168,9 @@ def run_epoch_batch(system, traces: Dict[int, object],
                                  gap_sums)
             _mark_percore_clean(hier)
             return _record_tier(PRIVATE_PERCORE)
-        lines, writes, cores = _interleave(traces, active, n_accesses)
+        lines, writes = _interleave(traces, active, n_accesses)
         _run_group_kernel(hier, timers, active, n_accesses,
-                          lines, writes, cores, gap_sums)
+                          lines, writes, gap_sums)
         # The tag names the topology, not a separate kernel: all-private
         # (singleton groups everywhere, shared lines present), fully shared
         # (one L2 group spanning the machine, the paper's "(cores:1:1)"),
@@ -175,21 +181,22 @@ def run_epoch_batch(system, traces: Dict[int, object],
         if len(hier._l2_groups) == 1:
             return _record_tier(SHARED_KERNEL)
         return _record_tier(MERGED_KERNEL)
-    lines, writes, cores = _interleave(traces, active, n_accesses)
-    _run_general(system, timers, traces, active, n_accesses,
-                 lines, writes, cores)
+    lines, writes = _interleave(traces, active, n_accesses)
+    _run_general(system, timers, traces, active, n_accesses, lines, writes)
     return _record_tier(GENERAL_KERNEL)
 
 
 # -- epoch materialisation ---------------------------------------------------
 
 def _interleave(traces, active: List[int],
-                n_accesses: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                n_accesses: int) -> Tuple[np.ndarray, np.ndarray]:
     """The deterministic round-robin global interleave, as arrays.
 
-    Access ``i`` of core rank ``r`` lands at global index ``i * k + r`` —
-    exactly the order the event engine's nested loop visits.  Strided
-    assignment keeps this at numpy speed with no ``tolist`` round trip.
+    Access ``i`` of core rank ``r`` lands at global index ``g = i * k + r``
+    — exactly the order the event engine's nested loop visits — so the
+    acting core is ``active[g % k]`` and needs no array of its own.
+    Strided assignment keeps this at numpy speed with no ``tolist`` round
+    trip.
     """
     k = len(active)
     total = n_accesses * k
@@ -199,8 +206,40 @@ def _interleave(traces, active: List[int],
         trace = traces[core]
         lines[rank::k] = trace.lines[:n_accesses]
         writes[rank::k] = trace.writes[:n_accesses]
-    cores = np.tile(np.asarray(active, dtype=np.int64), n_accesses)
-    return lines, writes, cores
+    return lines, writes
+
+
+#: Accesses a kernel turns into Python objects at a time.  The kernels'
+#: loops run over Python lists, which cost ~100 B per access; resolving an
+#: epoch chunk by chunk bounds that transient by this constant instead of
+#: the epoch length.  Chunks cut an access order without reordering it, so
+#: every kernel sees the same stream.  Picked by measurement (MorphCache on
+#: canneal, SMALL): kernel time showed no difference from 4k to unchunked
+#: beyond the host's noise, and one run's peak RSS read 44.0 MB at 2k,
+#: 44.4 MB at 8k, 45.2 MB at 16k and 51.6 MB unchunked.
+_CHUNK = 8192
+
+
+def _stream(lines: np.ndarray, writes: np.ndarray, active: List[int],
+            order: Optional[np.ndarray], base: int) -> Iterator[tuple]:
+    """``(line, write, core, stamp)`` per access, one chunk at a time.
+
+    ``order`` lists global interleave indices in processing order (None:
+    global order).  Each chunk materialises only its own four lists; the
+    C-level ``chain`` drops a chunk's lists before building the next and
+    adds no Python frame per access.
+    """
+    k = len(active)
+    core_of = np.asarray(active, dtype=np.int64)
+    total = len(lines)
+
+    def chunk(start: int):
+        stop = min(start + _CHUNK, total)
+        idx = np.arange(start, stop) if order is None else order[start:stop]
+        return zip(lines[idx].tolist(), writes[idx].tolist(),
+                   core_of[idx % k].tolist(), (idx + (base + 1)).tolist())
+
+    return chain.from_iterable(map(chunk, range(0, total, _CHUNK)))
 
 
 def _observer_order_free(hier: CacheHierarchy) -> bool:
@@ -235,19 +274,17 @@ def _timing_exact(hier, timers, active, gap_sums, n_accesses: int) -> bool:
     return True
 
 
-def _flush_hits(hier: CacheHierarchy, active: List[int],
-                hits2: List[set], hits3: List[set]) -> None:
-    """Apply the kernel's buffered per-core L2/L3 hit lines to the ACFVs.
+def _flush_hits(hier: CacheHierarchy, hits) -> None:
+    """Apply the kernel's buffered ``(core, l2_lines, l3_lines)`` hits to
+    the ACFVs.
 
     Under :func:`_observer_order_free` a hit-notified observer is an
     :class:`AcfvBank` whose ``on_hit`` only ORs bits in, so one
-    :meth:`AcfvBank.record_hits` per core after the loop leaves exactly the
-    vectors the per-hit calls would have.
+    :meth:`AcfvBank.record_epoch_hits` for the whole epoch leaves exactly
+    the vectors the per-hit calls would have.
     """
     if hier._notify_hit:
-        record = hier.observer.record_hits
-        for core in active:
-            record(core, hits2[core], hits3[core])
+        hier.observer.record_epoch_hits(hits)
 
 
 # -- the per-core kernel (no shared lines) -----------------------------------
@@ -427,6 +464,8 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
     core_stats = hier.stats.cores
     l2_stats = hier._l2_slice_stats
     l3_stats = hier._l3_slice_stats
+    # Every core's L2/L3 hit lines as arrays, flushed once after all cores.
+    epoch_hits = []
 
     for rank, core in enumerate(active):
         trace = traces[core]
@@ -445,8 +484,8 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
         # branch is the most-executed one, so it carries no counter at all.
         cl1 = cl2 = cmem = evi2 = evi3 = 0
         stamp = base + rank + 1 - k
-        # This core's L2/L3 hit lines, flushed into its ACFVs after the
-        # loop (the gate makes on_hit an order-free OR).
+        # This core's L2/L3 hit lines, flushed into the ACFVs at epoch
+        # end (the gate makes on_hit an order-free OR).
         hits2 = set()
         hits3 = set()
         add2 = hits2.add
@@ -553,7 +592,8 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
         for ln in new_resident - old_resident:
             directory[ln] = {core}
         if notify_hit:
-            hier.observer.record_hits(core, hits2, hits3)
+            epoch_hits.append((core, np.fromiter(hits2, np.int64, len(hits2)),
+                               np.fromiter(hits3, np.int64, len(hits3))))
 
         # Per-core flush: counters into stats, one exact timing reduction.
         cl3 = n_accesses - cl1 - cl2 - cmem
@@ -579,6 +619,7 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
                    + cl3 * int(lat_l3 >= ml) + cmem * int(lat_mem >= ml))
         timer.account_summary(n_accesses, gap_sums[core], latency_sum,
                               offchip)
+    _flush_hits(hier, epoch_hits)
 
 
 # -- the slice-group kernel (every other LRU epoch) --------------------------
@@ -716,12 +757,13 @@ def _lazy_invalidate(sets, set_index: int, line: int,
 
 def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                       n_accesses: int, lines: np.ndarray, writes: np.ndarray,
-                      cores: np.ndarray, gap_sums: Dict[int, int]) -> None:
+                      gap_sums: Dict[int, int]) -> None:
     """Set-partitioned resolution of any LRU epoch (merged, shared, or
     all-private with shared lines).
 
     Semantically identical to ``CacheHierarchy.access`` driven in global
-    order, in one fall-through loop: an L1 hit ends the access; otherwise
+    order, in one fall-through loop over the partition-sorted epoch, drawn
+    chunk by chunk (:func:`_stream`): an L1 hit ends the access; otherwise
     the L2 group probe, then on a miss the L3 group probe or memory plus
     the L3 fill, then the L2 fill, and the L1 fill as the shared tail.
     Group probes resolve through the aggregate residency maps (one dict
@@ -751,17 +793,15 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     base = hier.advance_stamp(total)
 
     part_mask = hier.partition_sets - 1
+    order = None
     if part_mask:
-        order = np.argsort(lines & part_mask, kind="stable")
-        stamps_list = (order + (base + 1)).tolist()
-        lines_list = lines[order].tolist()
-        writes_list = writes[order].tolist()
-        cores_list = cores[order].tolist()
-    else:
-        stamps_list = list(range(base + 1, base + total + 1))
-        lines_list = lines.tolist()
-        writes_list = writes.tolist()
-        cores_list = cores.tolist()
+        # The partition key in the narrowest unsigned type that holds it
+        # (no 8 B-per-access temporary; a stable argsort of 8/16-bit keys
+        # is a radix sort).  Any stable sort yields the same order.
+        key = np.bitwise_and(lines, part_mask, casting="unsafe",
+                             dtype=np.min_scalar_type(part_mask))
+        order = np.argsort(key, kind="stable")
+        del key
 
     l1_idx = [s.set_buckets() for s in hier.l1s]
     l2_idx = [s.set_buckets() for s in hier.l2s]
@@ -858,8 +898,8 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             m = ml[core]
             off_extra[core] += (latency + extra >= m) - (latency >= m)
 
-    for line, write, core, stamp in zip(lines_list, writes_list,
-                                        cores_list, stamps_list):
+    for line, write, core, stamp in _stream(lines, writes, active, order,
+                                            base):
         # L1 probe (recency-dict hit).
         set1 = line & m1
         bucket1 = l1_idx[core][set1]
@@ -1162,15 +1202,14 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             memory_accesses=nm, memory_cycles=nm * lat_mem)
         timers[core].account_summary(n_accesses, gap_sums[core],
                                      latency_sum, offchip)
-    _flush_hits(hier, active, hits2, hits3)
+    _flush_hits(hier, [(core, hits2[core], hits3[core]) for core in active])
     _mark_group_clean(hier)
 
 
 # -- the general kernel ------------------------------------------------------
 
 def _run_general(system, timers, traces, active: List[int], n_accesses: int,
-                 lines: np.ndarray, writes: np.ndarray,
-                 cores: np.ndarray) -> None:
+                 lines: np.ndarray, writes: np.ndarray) -> None:
     """Any-topology epoch: real access path in global order, batched timing.
 
     Merged groups, fault-disabled slices, PLRU and order-sensitive
@@ -1180,14 +1219,25 @@ def _run_general(system, timers, traces, active: List[int], n_accesses: int,
     ``account_batch`` — whose per-core latency sequences preserve the
     per-core access order, making even its non-exact scalar fallback
     reproduce the event engine's rounding sequence.
+
+    The epoch streams in chunks of whole interleave rounds, each core's
+    latencies going to ``account_batch`` chunk by chunk.  That is still bit
+    for bit the per-access loop: an exact chunk sums exactly, and once a
+    chunk is inexact every later one is too (``cycles`` only grows), so
+    the scalar fallback resumes from the identical state.
     """
     access = system.access
-    latencies: Dict[int, List[int]] = {core: [] for core in active}
-    appends = {core: latencies[core].append for core in active}
-    append_list = [appends.get(c) for c in range(max(active) + 1)]
-    for line, write, core in zip(lines.tolist(), writes.tolist(),
-                                 cores.tolist()):
-        append_list[core](access(core, line, write))
-    for core in active:
-        timers[core].account_batch(traces[core].gaps[:n_accesses],
-                                   latencies[core])
+    k = len(active)
+    rounds = max(1, _CHUNK // k)
+    for first in range(0, n_accesses, rounds):
+        last = min(first + rounds, n_accesses)
+        latencies: Dict[int, List[int]] = {core: [] for core in active}
+        appends = {core: latencies[core].append for core in active}
+        append_list = [appends.get(c) for c in range(max(active) + 1)]
+        for line, write, core in zip(lines[first * k:last * k].tolist(),
+                                     writes[first * k:last * k].tolist(),
+                                     active * (last - first)):
+            append_list[core](access(core, line, write))
+        for core in active:
+            timers[core].account_batch(traces[core].gaps[first:last],
+                                       latencies[core])

@@ -218,6 +218,28 @@ class TestInclusion:
         for entry in h.l2s[1].entries():
             assert entry.owner == 1
 
+    def test_reinstalling_the_installed_grouping_skips_repair(
+            self, monkeypatch):
+        # The controller reinstalls its grouping every epoch; only a change
+        # walks the resident state, but every install is still counted.
+        from repro.caches import hierarchy as hierarchy_module
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry(enabled=True)
+        monkeypatch.setattr(hierarchy_module.obs_metrics, "REGISTRY",
+                            registry)
+        h = make_hierarchy()
+        repairs = []
+        monkeypatch.setattr(h, "_repair_after_reconfiguration",
+                            lambda: repairs.append(h.l2_groups))
+        merged = [(0, 1)] + private_topology()[2:]
+        h.set_topology(merged, merged)
+        h.set_topology(merged, merged)
+        h.set_topology(private_topology(), private_topology())
+        h.set_topology(private_topology(), private_topology())
+        assert repairs == [merged, private_topology()]
+        assert registry.counter("repro_topology_changes_total").value == 5
+
 
 class TestCoherence:
     def test_write_invalidates_other_l1_copies(self):
@@ -231,6 +253,18 @@ class TestCoherence:
         h.access(0, 0x7000, write=True)
         assert 0x7000 not in h.l1s[1]
         assert h.stats.cores[0].coherence_invalidations >= 1
+
+    def test_writer_without_l1_copy_leaves_no_directory_entry(self):
+        # Core 0's only L2 slice is offline, so it fills no L1; its write
+        # still invalidates core 1's copy, and the line must leave the
+        # directory (an empty holder set would be garbage only the
+        # reconfiguration repair collects).
+        h = make_hierarchy()
+        h.access(1, 0x7000)
+        h.set_faulted_slices("l2", {0})
+        h.access(0, 0x7000, write=True)
+        assert 0x7000 not in h.l1s[1]
+        assert 0x7000 not in h._l1_directory
 
     def test_dirty_l1_eviction_marks_l2_copy(self):
         h = make_hierarchy()

@@ -157,16 +157,20 @@ class TestAcfvBank:
 
     def test_record_hits_matches_on_hit(self):
         # L2-hit lines land in both vectors (inclusion), L3-hit lines in
-        # the L3 vector only — the same state per-hit on_hit leaves.
+        # the L3 vector only — the same state per-hit on_hit leaves, per
+        # core, when one flush carries several cores (sets or arrays).
         l2_lines, l3_lines = {1, 9, 40}, {9, 77, 1 << 41}
         batched, per_hit = self.make_bank(), self.make_bank()
         batched.acfv("l3", 2).flip(5)
         per_hit.acfv("l3", 2).flip(5)
-        batched.record_hits(2, l2_lines, l3_lines)
+        batched.record_epoch_hits([
+            (2, l2_lines, l3_lines),
+            (0, np.array(sorted(l3_lines), dtype=np.int64), set())])
         for line in l2_lines:
             per_hit.on_hit("l2", 2, 2, line)
         for line in l3_lines:
             per_hit.on_hit("l3", 2, 2, line)
+            per_hit.on_hit("l2", 0, 0, line)
         for level in ("l2", "l3"):
             for core in range(4):
                 assert batched.acfv(level, core).as_int() \
@@ -174,7 +178,8 @@ class TestAcfvBank:
 
     def test_record_hits_empty_is_noop(self):
         bank = self.make_bank()
-        bank.record_hits(0, set(), set())
+        bank.record_epoch_hits([(0, set(), set())])
+        bank.record_epoch_hits([])
         assert bank.acfv("l2", 0).ones == 0
         assert bank.acfv("l3", 0).ones == 0
 
@@ -193,16 +198,27 @@ def test_property_ones_bounded_by_distinct_tags(tags):
     assert acfv.ones >= 1
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**62), max_size=60),
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["l2", "l3"]),
+                          st.integers(min_value=0, max_value=2**62)),
+                max_size=80),
        st.sampled_from([2, 8, 32, 64, 100, 128, 256, 512]),
-       st.sampled_from(["xor", "modulo"]), st.booleans())
+       st.sampled_from([8, 100, 512]),
+       st.sampled_from(["xor", "modulo"]))
 @settings(max_examples=200, deadline=None)
-def test_property_set_many_matches_sequential_set(tags, bits, name,
-                                                  duplicate):
-    if duplicate:
-        tags = tags + tags[: len(tags) // 2]
-    batched, sequential = Acfv(bits, name), Acfv(bits, name)
-    batched.set_many(np.array(tags, dtype=np.int64))
-    for tag in tags:
-        sequential.set(tag)
-    assert batched.as_int() == sequential.as_int()
+def test_property_record_epoch_hits_matches_on_hit(hits, l2_bits, l3_bits,
+                                                   name):
+    """One flush of every core's hit lines (duplicates included) leaves
+    exactly the vectors per-hit ``on_hit`` calls leave, for any vector
+    length and either hash."""
+    batched = AcfvBank(4, l2_bits, l3_bits, name)
+    per_hit = AcfvBank(4, l2_bits, l3_bits, name)
+    for core, level, tag in hits:
+        per_hit.on_hit(level, core, core, tag)
+    batched.record_epoch_hits([
+        (core, [t for c, lvl, t in hits if c == core and lvl == "l2"],
+         [t for c, lvl, t in hits if c == core and lvl == "l3"])
+        for core in range(4)])
+    for level in ("l2", "l3"):
+        for core in range(4):
+            assert batched.acfv(level, core).as_int() \
+                == per_hit.acfv(level, core).as_int(), (level, core)

@@ -2,8 +2,8 @@
 
 The batch kernels do not notify the observer per hit: they collect each
 core's L2/L3 hit lines and flush them into the ACFVs in one vectorised pass
-(:meth:`repro.core.acfv.AcfvBank.record_hits`).  ``state_digest`` and the
-run-end checkpoint only see the vectors after the controller's epoch-end
+(:meth:`repro.core.acfv.AcfvBank.record_epoch_hits`).  ``state_digest`` and
+the run-end checkpoint only see the vectors after the controller's epoch-end
 ``reset_all``, so this suite compares them where the controller reads them:
 after the epoch's accesses and before ``end_epoch``.  Both systems are
 driven in lockstep on the same traces (and the same fault schedule); every

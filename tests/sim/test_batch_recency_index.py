@@ -13,7 +13,7 @@ same epoch.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.caches.hierarchy import L2, L3
@@ -142,7 +142,14 @@ def _draw_group_topology(draw, cores):
     return _draw_merged_topology(draw, cores)
 
 
-@settings(max_examples=25, deadline=None)
+#: Every default phase but shrinking (and the explain phase that needs
+#: it): the same examples are drawn, but a failing multi-epoch example is
+#: reported as found — shrinking one can outlast a CI timeout — with the
+#: blob that reproduces it (``@reproduce_failure``).
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+
+
+@settings(max_examples=25, deadline=None, phases=UNSHRUNK, print_blob=True)
 @given(data=st.data())
 def test_recency_index_invariant_across_epochs(data):
     """Random merged/shared topologies, mid-run reconfigurations (to

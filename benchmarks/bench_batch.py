@@ -21,9 +21,9 @@ group probe is O(slices) while the kernel's residency lookup is O(1).
 Both engines consume identical traces and produce bit-identical state (the
 differential suite in ``tests/sim/test_batch_equivalence.py`` proves it);
 this benchmark records only the throughput ratio.  Each topology is
-measured best-of-``PASSES`` to damp scheduler noise.  Output goes to
-``benchmarks/results/batch.txt`` and, machine-readably, ``BENCH_batch.json``
-at the repo root.  CI gates on the committed private/merged/shared
+measured best-of-``PASSES`` to damp scheduler noise.  The numbers go to
+``BENCH_batch.json`` at the repo root (and a table to stdout), never to
+the byte-pinned ``benchmarks/results/``.  CI gates on the committed private/merged/shared
 speedups via ``benchmarks/compare_baseline.py --gate`` (a >20% drop fails
 the job).
 
@@ -37,7 +37,7 @@ import json
 import pathlib
 import time
 
-from benchmarks.common import BENCH_CONFIG, SEED, format_rows, report
+from benchmarks.common import BENCH_CONFIG, SEED, format_rows
 from repro.cpu.cmp import CmpSystem
 from repro.cpu.core_model import CoreTimingModel
 from repro.sim.batch import (MERGED_KERNEL, PRIVATE_PERCORE, SHARED_KERNEL,
@@ -146,14 +146,13 @@ def test_batch_engine(benchmark):
     table = format_rows(
         ["path", "topology", "batch tier", "event acc/s", "batch acc/s",
          "speedup"], rows)
-    report("batch",
-           "Batch engine vs event engine: accesses/second per epoch "
-           "(MIX 01, small preset, seed 2011; *64 rows: 64-core stretch, "
-           "MIX 01 x4)\n"
-           f"{table}\n\n"
-           "Both engines are bit-identical (tests/sim/"
-           "test_batch_equivalence.py); best-of-"
-           f"{PASSES} passes per cell ({SCALED_PASSES} at 64 cores).")
+    print("\nBatch engine vs event engine: accesses/second per epoch "
+          "(MIX 01, small preset, seed 2011; *64 rows: 64-core stretch, "
+          "MIX 01 x4)\n"
+          f"{table}\n\n"
+          "Both engines are bit-identical (tests/sim/"
+          "test_batch_equivalence.py); best-of-"
+          f"{PASSES} passes per cell ({SCALED_PASSES} at 64 cores).")
 
     JSON_PATH.write_text(json.dumps({
         "config": "SMALL(accesses_per_core_per_epoch=2000, epochs=3)",

@@ -12,8 +12,9 @@ All trace/metrics hook sites sit on epoch (or coarser) boundaries, so the
 indistinguishable from a tree without the observability layer — the CI
 ``trace-overhead`` job checks the latter by comparing the fresh
 ``BENCH_trace.json`` against the committed one at a 2% threshold.
-Output goes to ``benchmarks/results/trace_overhead.txt`` and
-``BENCH_trace.json`` at the repo root; the traced runs' results are also
+The numbers go to ``BENCH_trace.json`` at the repo root (and a table to
+stdout), never to the byte-pinned ``benchmarks/results/``; the traced
+runs' results are also
 asserted identical to the untraced run's (observation must not perturb the
 simulation).
 """
@@ -25,7 +26,7 @@ import pathlib
 import tempfile
 import time
 
-from benchmarks.common import BENCH_CONFIG, SEED, format_rows, report
+from benchmarks.common import BENCH_CONFIG, SEED, format_rows
 from repro.obs import REGISTRY
 from repro.obs.trace import TraceRecorder
 from repro.sim.engine import simulate
@@ -101,13 +102,12 @@ def test_trace_overhead(benchmark):
     rows = [[mode, f"{rates[mode]:.0f}", f"{100 * overhead[mode]:+.1f}%"]
             for mode in rates]
     table = format_rows(["mode", "acc/s", "overhead vs off"], rows)
-    report("trace_overhead",
-           "Observability overhead: simulate() accesses/second by mode "
-           "(morphcache, MIX 01, small preset, batch engine, seed 2011, "
-           f"best of {PASSES}, mode order rotated each pass)\n{table}\n\n"
-           "The off row is the untraced default path; the CI "
-           "trace-overhead job additionally holds it within 2% of the "
-           "committed BENCH_trace.json baseline.")
+    print("\nObservability overhead: simulate() accesses/second by mode "
+          "(morphcache, MIX 01, small preset, batch engine, seed 2011, "
+          f"best of {PASSES}, mode order rotated each pass)\n{table}\n\n"
+          "The off row is the untraced default path; the CI "
+          "trace-overhead job additionally holds it within 2% of the "
+          "committed BENCH_trace.json baseline.")
 
     JSON_PATH.write_text(json.dumps({
         "config": "SMALL(accesses_per_core_per_epoch=2000, epochs=3)",

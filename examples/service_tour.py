@@ -23,7 +23,6 @@ Run:  python examples/service_tour.py [--chaos]
 """
 
 import argparse
-import json
 import os
 import pathlib
 import signal
@@ -69,7 +68,7 @@ def start_service(state_dir, *extra):
 
 
 def kill_tree(proc):
-    """SIGKILL service + job children + pool workers, like a machine loss."""
+    """SIGKILL service + pool workers + sweep processes, like a machine loss."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -94,7 +93,7 @@ def check(label, ok):
 
 
 def tour(state_dir):
-    proc, client = start_service(state_dir, "--max-jobs", "1",
+    proc, client = start_service(state_dir, "--workers", "1",
                                  "--max-queued-per-tenant", "2")
     try:
         print("== admission")
@@ -165,7 +164,7 @@ def tour(state_dir):
 
 def chaos(state_dir):
     print("== chaos: SIGKILL mid-sweep, restart, verify bit-identical")
-    proc, client = start_service(state_dir, "--max-jobs", "1")
+    proc, client = start_service(state_dir, "--workers", "1")
     job_id = bob_id = None
     try:
         job_id = client.submit(tenant="alice", **SWEEP)["job"]["id"]

@@ -38,18 +38,18 @@ Commands:
   completed/quarantined/retried runs, resume count, wall-clock latency,
   whether the tail is torn (a mid-write kill), and whether the sweep is
   resumable.  Exits 6 (``CheckpointError``) when the journal is unreadable.
-- ``serve --state-dir DIR [--host H] [--port P] [--max-jobs N]
-  [--max-queued N] [--job-timeout S] [--quota TENANT=W[:QUEUED[:RUNNING]]]
-  [--workers N]``
+- ``serve --state-dir DIR [--host H] [--port P] [--workers N]
+  [--max-queued N] [--job-timeout S] [--quota TENANT=W[:QUEUED[:RUNNING]]]``
   — run the crash-tolerant multi-tenant simulation service (see DESIGN.md
-  §10): jobs over HTTP, per-tenant quotas with weighted-fair scheduling,
-  bounded queues with 429 load shedding, SSE progress streams, and
-  restart-time recovery from DIR.  SIGTERM drains gracefully: exits 0 when
-  nothing was interrupted, 8 when resumable jobs remain in DIR.  With
-  ``--workers N`` the state dir becomes a shared worker pool (DESIGN.md
-  §11): N ``repro worker`` processes pull jobs via fenced leases, a
-  SIGKILLed worker's jobs are adopted bit-identically by its peers, and
-  external workers pointed at the same DIR join the pool.
+  §10-§11): jobs over HTTP, per-tenant quotas with weighted-fair
+  scheduling, bounded queues with 429 load shedding, SSE progress
+  streams, and restart-time recovery from DIR.  DIR is a shared worker
+  pool: the service schedules, and N ``repro worker`` processes (default
+  2, spawned at the first admission) run the jobs under fenced leases.  A
+  SIGKILLed worker's job is adopted bit-identically by a peer, and
+  external workers pointed at DIR add capacity.  SIGTERM drains
+  gracefully: exits 0 when nothing was interrupted, 8 when resumable jobs
+  remain in DIR.
 - ``worker --pool DIR [--worker-id ID] [--drain] [--max-jobs N]`` — run
   one pool worker against DIR: claim a job's lease, heartbeat it, execute
   the sweep with the lease token fenced into every journal/status write,
@@ -296,7 +296,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         state_dir=args.state_dir,
         host=args.host,
         port=args.port,
-        max_concurrent_jobs=args.max_jobs,
         max_queued=args.max_queued,
         default_quota=TenantQuota(max_queued=args.max_queued_per_tenant,
                                   max_running=args.max_running_per_tenant),
@@ -307,9 +306,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         worker_heartbeat=args.worker_heartbeat,
         worker_misses=args.worker_misses,
     )
-    mode = (f"{args.workers} pool worker(s)" if args.workers
-            else f"{args.max_jobs} concurrent job(s)")
-    print(f"repro serve: state dir {args.state_dir}, {mode}; "
+    print(f"repro serve: state dir {args.state_dir}, "
+          f"{args.workers} pool worker(s); "
           f"the bound address lands in "
           f"{os.path.join(args.state_dir, 'serve.json')}", file=sys.stderr)
     return run_service(config)
@@ -469,8 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0,
         help="TCP port (default 0 = OS-assigned; see DIR/serve.json)")
     serve_parser.add_argument(
-        "--max-jobs", type=int, default=2, metavar="N",
-        help="concurrently running jobs across all tenants (default 2)")
+        "--workers", type=int, default=2, metavar="N",
+        help="pool workers the service spawns at its first admission: "
+             "the jobs running at once across all tenants (default 2).  "
+             "They claim jobs from DIR via fenced leases, a killed "
+             "worker's job is adopted bit-identically by a peer, and "
+             "'repro worker --pool DIR' processes add capacity")
     serve_parser.add_argument(
         "--max-queued", type=int, default=64, metavar="N",
         help="global queue bound; beyond it submissions shed with 429")
@@ -490,14 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
              "cap (repeatable)")
     serve_parser.add_argument(
         "--drain-grace", type=float, default=10.0, metavar="S",
-        help="seconds a drain waits for SIGTERM'd jobs to checkpoint "
+        help="seconds a drain waits for SIGTERM'd workers to checkpoint "
              "before SIGKILLing them (default 10)")
-    serve_parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="pool mode: spawn N 'repro worker' processes that pull jobs "
-             "from DIR via fenced leases; a killed worker's jobs are "
-             "adopted bit-identically by its peers (default 0 = run jobs "
-             "in service-owned children)")
     serve_parser.add_argument(
         "--worker-heartbeat", type=float, default=1.0, metavar="S",
         help="pool lease heartbeat interval (set once at pool creation)")
@@ -509,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker", help="run one shared-pool worker")
     worker_parser.add_argument(
         "--pool", required=True, metavar="DIR",
-        help="the pool directory (a 'serve --workers' state dir, or one "
+        help="the pool directory (a 'repro serve' state dir, or one "
              "initialised with --init)")
     worker_parser.add_argument(
         "--worker-id", default=None, metavar="ID",

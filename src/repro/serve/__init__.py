@@ -3,21 +3,22 @@
 Layers (each its own module, each testable without the one above):
 
 - :mod:`repro.serve.jobs` — the job model: validated submissions
-  (:class:`JobSpec`), in-service state (:class:`Job`), the durable per-job
-  directory contract, and the job-process entry point.
+  (:class:`JobSpec`), in-service state (:class:`Job`) and the durable
+  per-job directory contract.
 - :mod:`repro.serve.queue` — bounded admission + stride-scheduled
   weighted-fair dispatch (:class:`FairQueue`, :class:`TenantQuota`).
 - :mod:`repro.serve.recovery` — restart-time classification of the state
   dir (:func:`recover_state`): terminal / interrupted-resumable / queued.
 - :mod:`repro.serve.lease` — fenced lease files for the shared worker
   pool: CAS claims, heartbeats, zombie-write rejection.
-- :mod:`repro.serve.pool` — the horizontal pool itself
+- :mod:`repro.serve.pool` — the pool every job executes in
   (:class:`SharedPool`, :func:`run_worker`): a filesystem-backed durable
-  queue any number of ``repro worker`` processes drain cooperatively,
-  adopting crashed peers' jobs bit-identically.
+  queue with a claimable index that any number of ``repro worker``
+  processes drain cooperatively, adopting crashed peers' jobs
+  bit-identically.
 - :mod:`repro.serve.app` — the asyncio HTTP service itself
-  (:class:`SimulationService`, :func:`run_service`), including
-  ``--workers`` pool mode.
+  (:class:`SimulationService`, :func:`run_service`): the one scheduler,
+  publishing its fair queue's picks to the pool workers it spawns.
 - :mod:`repro.serve.client` — a stdlib client (:class:`ServiceClient`)
   for tests, examples and scripts, with opt-in deterministic retry
   (:class:`RetryPolicy`).

@@ -1,34 +1,37 @@
 """The simulation service: a stdlib-only asyncio HTTP front end.
 
 ``repro serve`` turns the supervised-sweep machinery into a long-lived,
-multi-tenant service.  One process, one event loop, zero new runtime
-dependencies: the HTTP layer is a small hand-rolled parser over
-``asyncio.start_server`` (bounded request sizes, one request per
-connection), and every simulation executes in a child process forked from
-a preloaded *forkserver* so the service survives anything a job does — and
-a watchdog SIGKILL of a job is just a process kill, never a wedged thread.
-The forkserver is a fresh single-threaded interpreter that has imported
-the simulator once (:data:`JOB_PRELOAD`); it starts at the first job
-launch, and each job child forks from it warm instead of spawning and
-re-importing.  The service itself is never forked: a fork of the asyncio
-process would inherit its signal wakeup fd and listening socket.
+multi-tenant service with one state machine: **the service schedules and
+the shared worker pool executes.**  The state dir is a
+:class:`~repro.serve.pool.SharedPool`; every job runs in a pool worker,
+``--workers N`` of which the service spawns at its first admission (fresh
+interpreters: the asyncio process is never forked).  External ``repro
+worker`` processes on the same dir add capacity.  The service survives
+anything a job does, and a watchdog kill is a process-tree kill.
 
 Robustness model (DESIGN.md §10 has the full state machine):
 
 - **Admission control** — submissions are validated, then either admitted
-  (spec fsync'd to the state dir *after* the queue accepts, so shedding
+  (spec fsync'd into the pool *after* the queue's caps pass, so shedding
   never touches disk) or shed with an explicit typed 429/503.  Memory is
   bounded by the queue caps, period.
 - **Weighted-fair scheduling** — :class:`~repro.serve.queue.FairQueue`
-  stride scheduling across tenants; no tenant can starve another.
-- **Watchdog** — each job gets a wall-clock cap layered above the
-  supervisor's per-run timeouts; overdue jobs are SIGKILLed and failed.
+  stride scheduling across tenants, with per-tenant running caps.
+  *Launching* a job publishes the queue's pick into the pool's claimable
+  index, one per live worker; *reaping* is seeing its fenced
+  ``status.json`` land.  Each service-owned worker shares a socket with
+  the service: a byte on publish wakes an idle worker, a byte after each
+  terminal status wakes the scheduler (``poll_interval`` is the backstop).
+- **Watchdog and restart cap** — an overdue job's worker tree is
+  SIGKILLed and the job failed under a fence the service takes over; a
+  job whose holders died more than ``max_job_restarts`` times is failed
+  too, and until then a peer adopts it from its journal.
 - **Crash recovery** — on startup the state dir is rescanned
   (:mod:`repro.serve.recovery`); interrupted jobs resume from their
   fsync'd journals bit-identically, queued jobs keep their positions.
 - **Graceful drain** — SIGTERM/SIGINT stops admissions (503), forwards
-  SIGTERM to running jobs (their supervisors drain in-flight runs and
-  flush journals, the existing exit-8 semantics), then exits: code 8 if
+  SIGTERM to the workers (their supervisors drain in-flight runs, flush
+  journals and release leases), then exits: code 8 if
   interrupted-but-resumable work remains, else 0.
 - **Observability** — ``/healthz``, ``/readyz``, ``/metrics`` (the
   existing :mod:`repro.obs` registry), and per-job SSE progress streams
@@ -40,10 +43,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -61,38 +64,40 @@ from repro.resilience.errors import (
     ServiceError,
     ServiceSaturatedError,
     SweepInterrupted,
+    WorkerCrashError,
 )
 from repro.serve.jobs import (
-    ERROR_FILE,
     JOURNAL_FILE,
     Job,
     JobSpec,
-    SPEC_FILE,
     STATUS_FILE,
-    job_id,
-    job_process_main,
-    read_json,
     read_json_tolerant,
-    spec_record,
     write_json_durable,
 )
-from repro.serve.lease import acquire as acquire_lease, read_lease
+from repro.serve.lease import (
+    LeaseHandle,
+    LeaseState,
+    acquire as acquire_lease,
+    lapsed_fences,
+    read_lease,
+)
 from repro.serve.pool import SharedPool
 from repro.serve.queue import FairQueue, TenantQuota
 from repro.serve.recovery import recover_state
-from repro.sim.parallel import SIMULATION_MODULES
 from repro.sim.supervisor import SweepJournal, result_from_json
-
-#: Modules the job forkserver imports once, so job children fork with
-#: them loaded: ``job_process_main`` and everything ``_run_spec`` reaches.
-#: The service process itself never imports the simulator: admission,
-#: journal keys and result summaries use numpy-free modules only.
-JOB_PRELOAD = ("repro.serve.jobs", "repro.sim.supervisor",
-               *SIMULATION_MODULES)
 
 #: Written next to the state dir's jobs/ once the socket is bound, so
 #: clients (and tests) can discover the actual port of a ``--port 0`` bind.
 SERVE_INFO_FILE = "serve.json"
+
+#: How the service starts a worker: a fresh interpreter, its socket to the
+#: service on fd 0 (``repro.serve.pool.service_worker_main``).
+_WORKER_MAIN = ("import sys\n"
+                "from repro.serve.pool import service_worker_main\n"
+                "sys.exit(service_worker_main(*sys.argv[1:]))\n")
+
+#: Lease owner of the fences the service itself takes over.
+_SERVICE_OWNER = "service"
 
 _REASONS = {200: "OK", 201: "Created", 204: "No Content", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
@@ -110,7 +115,6 @@ class ServiceConfig:
     port: int = 0
     """0 = OS-assigned; the bound port lands in ``serve.json``."""
 
-    max_concurrent_jobs: int = 2
     max_queued: int = 64
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: Mapping[str, TenantQuota] = field(default_factory=dict)
@@ -119,11 +123,12 @@ class ServiceConfig:
     overrides it.  ``None`` = unlimited unless the job asks."""
 
     max_job_restarts: int = 2
-    """Crash-restarts granted to one job before it is failed for good."""
+    """Worker deaths one job survives (a peer adopts it each time) before
+    it is failed for good."""
 
     poll_interval: float = 0.05
-    """Process mode: the scheduler's backstop (passes run on admission,
-    job exits, drains and deadlines).  Pool mode: the observation tick.
+    """The backstop of the scheduler and of idle service-owned workers
+    (passes run on admission, worker wake-ups, drains and deadlines).
     SSE progress streams poll their job's files every two intervals."""
 
     max_body_bytes: int = 1 << 20
@@ -131,15 +136,13 @@ class ServiceConfig:
     """Per-job SSE ring buffer capacity (oldest records drop first)."""
 
     drain_grace: float = 10.0
-    """Seconds a draining service waits for SIGTERM'd jobs to checkpoint
-    and exit before escalating to SIGKILL (journals stay resumable)."""
+    """Seconds a draining service waits for SIGTERM'd workers to
+    checkpoint and exit before escalating to SIGKILL (journals stay
+    resumable)."""
 
-    workers: int = 0
-    """Horizontal pool mode: spawn this many ``repro worker`` processes
-    against the state dir instead of running jobs in service-owned
-    children.  The state dir doubles as the shared pool, so external
-    workers (other hosts on the same filesystem) can join the same pool
-    and the service keeps serving HTTP/SSE for every job either way."""
+    workers: int = 2
+    """Pool workers spawned at the first admission, one job each; external
+    ``repro worker`` processes add capacity (0 = only they run jobs)."""
 
     worker_heartbeat: float = 1.0
     """Pool lease heartbeat interval (only used when creating the pool)."""
@@ -153,9 +156,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if not self.state_dir:
             raise ConfigError("state_dir", "required")
-        if self.max_concurrent_jobs < 1:
-            raise ConfigError("max_concurrent_jobs",
-                              f"must be >= 1, got {self.max_concurrent_jobs}")
         if self.job_timeout is not None and self.job_timeout <= 0:
             raise ConfigError("job_timeout",
                               f"must be > 0, got {self.job_timeout}")
@@ -202,15 +202,14 @@ class _HttpError(Exception):
 def _kill_job_tree(process) -> None:
     """SIGKILL a process *and* every descendant it started.
 
-    A job child runs its sweep through a pool of workers it forked, so
-    killing only the child would orphan them — and an idle pool worker
+    A worker runs its sweep through a pool of processes it forked, so
+    killing only the worker would orphan them — and an idle pool process
     blocks in its call-queue read forever (it holds its own write end of
-    that pipe, so EOF never comes).  The forked workers also carry a
-    parent-death SIGKILL, but that covers only the child's direct
+    that pipe, so EOF never comes).  The forked processes also carry a
+    parent-death SIGKILL, but that covers only the worker's direct
     children.  Descendants are discovered via ``/proc``; the walk is racy
     by nature and every miss dies with its process group at service
-    shutdown anyway.  A job child is the forkserver's child, not the
-    service's, so the walk starts from the job itself.
+    shutdown anyway.
     """
     children: Dict[int, List[int]] = {}
     try:
@@ -307,7 +306,7 @@ class JobEventStream:
 
     A tailer task polls the job directory's JSONL files (the per-run
     epoch traces and the sweep journal — both are appended durably by the
-    *job process*, so this works across the process boundary and even
+    *pool worker*, so this works across the process boundary and even
     across a service restart) and emits each new record into a
     :class:`~repro.obs.trace.TraceRecorder` ring buffer.  SSE handlers
     consume the ring through (:attr:`emitted`, :meth:`since`): a slow
@@ -401,6 +400,20 @@ class JobEventStream:
             self._task.cancel()
 
 
+class _Worker:
+    """One service-owned pool worker: its process and its wake socket."""
+
+    def __init__(self, slot: int, proc: subprocess.Popen,
+                 channel: socket.socket) -> None:
+        self.slot = slot
+        self.id = f"svc-{slot}"
+        self.proc = proc
+        self.channel = channel
+
+    def alive(self) -> bool:
+        return self.proc.poll() is None
+
+
 class SimulationService:
     """The service core: registry, queue, scheduler, HTTP handlers."""
 
@@ -413,23 +426,20 @@ class SimulationService:
         self.queue = FairQueue(max_queued=config.max_queued,
                                default_quota=config.default_quota,
                                quotas=config.quotas)
-        self._running: Dict[str, Job] = {}
+        self._launched: Dict[str, Job] = {}  # published, not yet terminal
         self._streams: Dict[str, JobEventStream] = {}
-        self._seq = 1
         self._dispatch_counter = 0
         self._drained_interrupted = False
         self._drain_started: Optional[float] = None
-        # Job children fork from a preloaded forkserver (see the module
-        # docstring); it starts lazily at the first Process.start().
-        self._mp = multiprocessing.get_context("forkserver")
-        self._mp.set_forkserver_preload(list(JOB_PRELOAD))
         self._server: Optional[asyncio.AbstractServer] = None
         self._scheduler_task: Optional[asyncio.Task] = None
         self._stopped: Optional[asyncio.Event] = None
         self._wake: Optional[asyncio.Event] = None
         self._pool: Optional[SharedPool] = None
-        self._worker_procs: List[Optional[subprocess.Popen]] = []
-        self._worker_respawns: List[int] = []
+        self._spawned = False
+        # A slot is None before the first spawn and once it is left down.
+        self._workers: List[Optional[_Worker]] = [None] * config.workers
+        self._respawns = [0] * config.workers
 
     # -- metrics -------------------------------------------------------------
 
@@ -447,27 +457,19 @@ class SimulationService:
         REGISTRY.gauge("repro_serve_queue_depth",
                        "Jobs currently queued across all tenants"
                        ).set(self.queue.depth)
-        running = (sum(1 for job in self.jobs.values()
-                       if job.state == "running")
-                   if self._pool is not None else len(self._running))
         REGISTRY.gauge("repro_serve_running_jobs",
-                       "Job processes currently executing").set(running)
-        if self._pool is not None:
-            REGISTRY.gauge(
-                "repro_serve_pool_workers",
-                "Service-owned pool worker processes currently alive"
-                ).set(sum(1 for proc in self._worker_procs
-                          if proc is not None and proc.poll() is None))
+                       "Jobs published to the pool and not yet terminal"
+                       ).set(len(self._launched))
+        REGISTRY.gauge("repro_serve_pool_workers",
+                       "Service-owned pool worker processes currently alive"
+                       ).set(len(self._alive_workers()))
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        if self.config.workers > 0:
-            self._pool = SharedPool.ensure(
-                self.state_dir, heartbeat=self.config.worker_heartbeat,
-                misses=self.config.worker_misses)
-        else:
-            (self.state_dir / "jobs").mkdir(parents=True, exist_ok=True)
+        self._pool = SharedPool.ensure(
+            self.state_dir, heartbeat=self.config.worker_heartbeat,
+            misses=self.config.worker_misses)
         REGISTRY.enable()
         # Register the full metric set up front so /metrics exposes every
         # series name from the first scrape, not only after first use.
@@ -482,7 +484,9 @@ class SimulationService:
         self._wake = asyncio.Event()
 
         recovery = recover_state(self.state_dir)
-        self._seq = recovery.next_seq
+        # Whatever an earlier run published, the fair queue decides anew.
+        for job_id_str in self._pool.published():
+            self._pool.withdraw(job_id_str)
         for entry in recovery.jobs:  # seq order: queue positions survive
             job = entry.job
             self.jobs[job.id] = job
@@ -502,11 +506,6 @@ class SimulationService:
         write_json_durable(self.state_dir / SERVE_INFO_FILE,
                            {"host": self.host, "port": self.port,
                             "pid": os.getpid()})
-        if self._pool is not None:
-            self._worker_procs = [None] * self.config.workers
-            self._worker_respawns = [0] * self.config.workers
-            for slot in range(self.config.workers):
-                self._spawn_worker(slot)
         self._scheduler_task = asyncio.get_running_loop().create_task(
             self._scheduler())
         self.state = "ready"
@@ -526,40 +525,32 @@ class SimulationService:
         return SweepInterrupted.exit_code if self._drained_interrupted else 0
 
     def begin_drain(self, reason: str = "signal") -> None:
-        """Stop admitting, SIGTERM running jobs, exit when they land."""
+        """Stop admitting, SIGTERM the workers, exit when they are gone."""
         if self.state in ("draining", "stopped"):
             return
         self.state = "draining"
-        if self._pool is not None:
-            alive = [proc for proc in self._worker_procs
-                     if proc is not None and proc.poll() is None]
-            print(f"draining on {reason}: admissions stopped, "
-                  f"{len(alive)} pool worker(s) signalled",
-                  file=sys.stderr, flush=True)
-            for proc in alive:
-                try:
-                    proc.terminate()
-                except OSError:
-                    pass
-            return
+        alive = self._alive_workers()
         print(f"draining on {reason}: admissions stopped, "
-              f"{len(self._running)} running job(s) signalled",
+              f"{len(alive)} pool worker(s) signalled",
               file=sys.stderr, flush=True)
-        for job in self._running.values():
-            if job.process is not None and job.process.is_alive():
-                job.process.terminate()
+        for worker in alive:
+            try:
+                worker.proc.terminate()
+            except OSError:
+                pass
         self._wake.set()
 
     async def _shutdown(self) -> None:
-        for proc in self._worker_procs:
-            if proc is None:
+        for worker in self._workers:
+            if worker is None:
                 continue
-            if proc.poll() is None:
-                _kill_job_tree(proc)
+            if worker.alive():
+                _kill_job_tree(worker.proc)
             try:
-                proc.wait(timeout=5.0)
-            except Exception:
+                worker.proc.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
                 pass
+            self._close_channel(worker)
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
         for stream in self._streams.values():
@@ -574,300 +565,296 @@ class SimulationService:
     async def _scheduler(self) -> None:
         """Dispatch loop.
 
-        Process mode is event-driven: a pass runs when :attr:`_wake` is
-        set (admission, a job child's exit, the start of a drain) or when
-        the nearest watchdog deadline or drain escalation falls due, and
-        at least every ``poll_interval`` as a backstop.  Each pass reaps
-        exited children before it launches, so a freed slot is refilled
-        in the same pass.  Pool mode observes the shared pool on a tick.
+        A pass runs when :attr:`_wake` is set (admission, a worker's byte
+        after a terminal status, a worker's exit, the start of a drain)
+        or when the nearest watchdog deadline or drain escalation falls
+        due, and at least every ``poll_interval`` as a backstop.  Each
+        pass reaps before it publishes, so a freed slot is refilled in
+        the same pass.
         """
         while True:
             self._wake.clear()
             try:
-                if self._pool is not None:
-                    self._poll_pool()
-                    self._update_gauges()
-                    if (self.state == "draining"
-                            and self._pool_drained()):
-                        self._stopped.set()
-                        return
-                else:
-                    self._poll_running()
-                    if self.state == "ready":
-                        self._launch_ready()
-                    self._update_gauges()
-                    if self.state == "draining" and not self._running:
-                        self._stopped.set()
-                        return
+                self._reap_workers()
+                self._observe()
+                self._fire_watchdogs()
+                if self.state == "ready":
+                    self._publish_ready()
+                self._update_gauges()
+                if self.state == "draining" and self._drained():
+                    self._stopped.set()
+                    return
             except Exception as exc:  # keep the scheduler alive, always
                 print(f"scheduler error: {type(exc).__name__}: {exc}",
                       file=sys.stderr, flush=True)
-            if self._pool is not None:
-                await asyncio.sleep(self.config.poll_interval)
-                continue
             try:
                 await asyncio.wait_for(self._wake.wait(),
-                                       timeout=self._wake_timeout())
+                                       timeout=self._until_due())
             except asyncio.TimeoutError:
                 pass
 
-    def _wake_timeout(self) -> float:
-        """Seconds until the next timed action of a process-mode pass:
-        the nearest unfired watchdog deadline or the pending drain
-        escalation, capped at ``poll_interval``."""
+    def _until_due(self) -> float:
+        """Seconds until the nearest watchdog deadline or the pending
+        drain escalation, capped at ``poll_interval``."""
         now = asyncio.get_running_loop().time()
-        due = [job.deadline for job in self._running.values()
-               if job.deadline is not None and not job.watchdog_fired]
+        due = [job.deadline for job in self._launched.values()
+               if job.deadline is not None]
         if self._drain_started is not None:
             escalate = self._drain_started + self.config.drain_grace
-            if escalate > now:  # once escalated, child exits wake the pass
+            if escalate > now:  # once escalated, worker exits wake a pass
                 due.append(escalate)
         if not due:
             return self.config.poll_interval
         return min(self.config.poll_interval, max(min(due) - now, 0.0))
 
-    def _launch_ready(self) -> None:
-        while len(self._running) < self.config.max_concurrent_jobs:
+    def _publish_ready(self) -> None:
+        """Publish the fair queue's picks, one per live worker.
+
+        External workers are counted (from their pool heartbeats) only
+        when the service's own slots are all taken.
+        """
+        if not self.queue.depth:
+            return
+        capacity = (self.config.workers if not self._spawned
+                    else sum(1 for w in self._workers if w is not None))
+        if len(self._launched) >= capacity:
+            capacity += self._external_workers()
+        published = False
+        while len(self._launched) < capacity:
             job = self.queue.next_runnable()
             if job is None:
-                return
-            self._start_job(job)
+                break
+            self._launch(job)
+            published = True
+        if published:
+            self._wake_workers()
 
-    def _start_job(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
-        job.state = "running"
-        job.watchdog_fired = False
+    def _launch(self, job: Job) -> None:
+        if not self._spawned:
+            self._spawned = True
+            for slot in range(self.config.workers):
+                self._spawn_worker(slot)
         self._dispatch_counter += 1
+        job.state = "running"
         job.started_order = self._dispatch_counter
-        job.started_at = loop.time()
-        cap = (job.spec.max_seconds if job.spec.max_seconds is not None
-               else self.config.job_timeout)
-        job.deadline = job.started_at + cap if cap is not None else None
-        job.process = self._mp.Process(
-            target=job_process_main,
-            args=(job.spec.payload(), str(job.job_dir), job.resume))
-        job.process.start()
-        # The sentinel turns readable when the child exits: wake the
-        # scheduler to reap it.  One-shot; _finalize removes it too.
-        sentinel = job.process.sentinel
-        loop.add_reader(sentinel, self._child_exited, sentinel)
-        self._running[job.id] = job
+        cap = self._job_cap(job)
+        job.deadline = (asyncio.get_running_loop().time() + cap
+                        if cap is not None else None)
+        self._pool.publish(job, job.started_order)
+        self._launched[job.id] = job
         self._stream_for(job).start()
 
-    def _child_exited(self, sentinel: int) -> None:
-        asyncio.get_running_loop().remove_reader(sentinel)
-        self._wake.set()
+    def _job_cap(self, job: Job) -> Optional[float]:
+        return (job.spec.max_seconds if job.spec.max_seconds is not None
+                else self.config.job_timeout)
 
-    def _poll_running(self) -> None:
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        if self.state == "draining" and self._drain_started is None:
+    def _external_workers(self) -> int:
+        """Workers this service did not spawn, with a heartbeat inside the
+        pool's lease TTL."""
+        ttl = self._pool.config.ttl
+        return sum(1 for beat in self._pool.worker_heartbeats()
+                   if not str(beat.get("worker", "")).startswith("svc-")
+                   and beat["age"] <= ttl)
+
+    def _observe(self) -> None:
+        """Reap terminal jobs and hand on the jobs of dead holders."""
+        ttl = self._pool.config.ttl
+        for job in list(self._launched.values()):
+            status = read_json_tolerant(job.job_dir / STATUS_FILE)
+            if status is not None:
+                self._finish(job, status)
+                continue
+            lease = read_lease(job.job_dir)
+            job.lease = lease.to_json() if lease is not None else None
+            if (lease is not None and lease.expired(ttl)
+                    and self.state == "ready"):
+                self._holder_died(job, lease)
+
+    def _finish(self, job: Job, status: Dict[str, Any],
+                label: Optional[str] = None) -> None:
+        """A fenced terminal status landed: free the job's slot."""
+        del self._launched[job.id]
+        self.queue.release(job.tenant)
+        self._pool.withdraw(job.id)
+        job.apply_status(status)
+        self._metric_jobs().labels(status=label or job.state).inc()
+        if job.state in ("done", "partial") and "total" in (job.latency
+                                                             or {}):
+            REGISTRY.histogram("repro_serve_job_seconds",
+                               "Wall clock of finished jobs"
+                               ).observe(job.latency["total"])
+
+    def _take_over(self, job: Job,
+                   steal: Optional[int] = None) -> Optional[LeaseHandle]:
+        """Claim ``job``'s next fence for the service, over the live fence
+        ``steal`` if given; ``None`` if a worker holds it or it already
+        ended (the next pass sees which)."""
+        handle = acquire_lease(job.job_dir, _SERVICE_OWNER,
+                               self._pool.config.ttl, steal=steal)
+        if (handle is not None
+                and read_json_tolerant(job.job_dir / STATUS_FILE) is not None):
+            handle.release()
+            return None
+        return handle
+
+    def _fail(self, job: Job, handle: LeaseHandle, exc: ReproError,
+              label: str) -> None:
+        """Fail ``job`` with a status fenced by the service's own lease."""
+        job.state = "failed"
+        job.error = {"type": type(exc).__name__, "message": str(exc)}
+        status = job.status_payload()
+        status["lease"] = handle.token
+        status["worker"] = _SERVICE_OWNER
+        write_json_durable(job.job_dir / STATUS_FILE, status)
+        handle.release()
+        self._finish(job, status, label)
+
+    def _holder_died(self, job: Job, lease: LeaseState) -> None:
+        """The worker holding ``job`` died: past the restart cap the job
+        fails, else its lease is released so a peer adopts it now."""
+        handle = self._take_over(job, steal=lease.fence)
+        if handle is None:
+            return
+        job.restarts = lapsed_fences(job.job_dir)
+        cap = self.config.max_job_restarts
+        if job.restarts > cap:
+            self._fail(job, handle, WorkerCrashError(
+                f"the worker holding job {job.id} died {job.restarts} "
+                f"time(s), more than max_job_restarts={cap}; giving up"),
+                "crashed")
+            return
+        handle.release()
+        self._metric_jobs().labels(status="restarted").inc()
+        self._wake_workers()
+
+    def _fire_watchdogs(self) -> None:
+        now = asyncio.get_running_loop().time()
+        ttl = self._pool.config.ttl
+        for job in list(self._launched.values()):
+            if job.deadline is None or now < job.deadline:
+                continue
+            lease = read_lease(job.job_dir)
+            live = (lease is not None and not lease.released
+                    and not lease.expired(ttl))
+            worker = next((w for w in self._alive_workers()
+                           if live and w.id == lease.owner), None)
+            if worker is not None:
+                # Killed by the watchdog, not crashed: the slot's restart
+                # budget is not charged.
+                _kill_job_tree(worker.proc)
+                worker.proc.wait(timeout=5.0)
+                self._close_channel(worker)
+                self._workers[worker.slot] = None
+                if self.state == "ready":
+                    self._spawn_worker(worker.slot)
+            # An external holder is fenced out: its next write fails.
+            handle = self._take_over(job, lease.fence if live else None)
+            if handle is None:
+                continue
+            self._fail(job, handle, JobTimeoutError(
+                f"job {job.id} exceeded its {self._job_cap(job):g}s "
+                "wall-clock watchdog and was killed; its journal is kept "
+                "for post-mortems"), "timeout")
+
+    def _drained(self) -> bool:
+        """Draining is done when every worker process has exited."""
+        now = asyncio.get_running_loop().time()
+        if self._drain_started is None:
             self._drain_started = now
-        for job in list(self._running.values()):
-            process = job.process
-            if process is not None and not process.is_alive():
-                process.join()
-                self._finalize(job, process.exitcode)
-            elif (job.deadline is not None and now >= job.deadline
-                  and not job.watchdog_fired):
-                job.watchdog_fired = True
-                _kill_job_tree(process)  # its exit wakes the reaping pass
-            elif (self._drain_started is not None
-                  and now >= self._drain_started + self.config.drain_grace):
-                # The drain's SIGTERM went unanswered: escalate.  The
-                # journal keeps every completed run, so the job is still
-                # resumable — _finalize sees a killed child while
-                # draining and records it as interrupted.
-                _kill_job_tree(process)
+        alive = self._alive_workers()
+        if alive:
+            if now >= self._drain_started + self.config.drain_grace:
+                for worker in alive:  # SIGTERM went unanswered: escalate
+                    _kill_job_tree(worker.proc)
+            return False
+        for job in self._launched.values():
+            # Started-but-unfinished work is resumable (exit 8);
+            # never-started jobs keep their queue positions.
+            if (job.job_dir / JOURNAL_FILE).exists():
+                job.state = "interrupted"
+                self._drained_interrupted = True
+                self._metric_jobs().labels(status="interrupted").inc()
+        return True
 
-    # -- pool mode: workers pull, the service observes -----------------------
+    # -- the service's own workers -------------------------------------------
 
     def _spawn_worker(self, slot: int) -> None:
-        """Start the slot's ``repro worker`` subprocess.
+        """Start the slot's worker with a socket to the service on fd 0.
 
         Deliberately *not* a new session/process group: tests (and
         operators) that signal the service's group reach the workers too,
         and an orphaned worker dies with its parent's group.
         """
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--pool", str(self.state_dir), "--worker-id", f"svc-{slot}"])
-        self._worker_procs[slot] = proc
+        ours, theirs = socket.socketpair()
+        with theirs:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_MAIN, str(self.state_dir),
+                 f"svc-{slot}", repr(self.config.poll_interval)],
+                stdin=theirs)
+        ours.setblocking(False)
+        worker = self._workers[slot] = _Worker(slot, proc, ours)
+        asyncio.get_running_loop().add_reader(
+            ours.fileno(), self._worker_signalled, worker)
 
-    def _respawn_workers(self) -> None:
-        for slot, proc in enumerate(self._worker_procs):
-            if proc is None or proc.poll() is None:
+    def _worker_signalled(self, worker: _Worker) -> None:
+        """A byte (a terminal status landed) or EOF (the worker exited)."""
+        try:
+            data = worker.channel.recv(4096)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            asyncio.get_running_loop().remove_reader(worker.channel.fileno())
+            # The kernel closes an exiting process's files before its exit
+            # status can be collected: wait out that instant, or the pass
+            # this wakes would still see the worker alive.
+            try:
+                worker.proc.wait(timeout=1.0)
+            except subprocess.TimeoutExpired:
+                pass
+        self._wake.set()
+
+    def _close_channel(self, worker: _Worker) -> None:
+        if worker.channel.fileno() >= 0:
+            asyncio.get_running_loop().remove_reader(worker.channel.fileno())
+            worker.channel.close()
+
+    def _wake_workers(self) -> None:
+        for worker in self._workers:
+            if worker is not None:
+                try:
+                    worker.channel.send(b"\0")
+                except OSError:
+                    pass  # a wake is already pending, or it exited
+
+    def _alive_workers(self) -> List[_Worker]:
+        return [w for w in self._workers if w is not None and w.alive()]
+
+    def _reap_workers(self) -> None:
+        for slot, worker in enumerate(self._workers):
+            if worker is None or worker.alive():
                 continue
-            if self._worker_respawns[slot] >= self.config.worker_restarts:
-                continue  # slot exhausted; peers cover its jobs
-            self._worker_respawns[slot] += 1
-            print(f"pool worker svc-{slot} exited "
-                  f"{proc.returncode}; respawning "
-                  f"({self._worker_respawns[slot]}/"
-                  f"{self.config.worker_restarts})",
+            self._close_channel(worker)
+            self._workers[slot] = None
+            if self.state != "ready":
+                continue
+            for job in list(self._launched.values()):
+                lease = read_lease(job.job_dir)
+                if (lease is not None and not lease.released
+                        and lease.owner == worker.id):
+                    self._holder_died(job, lease)
+            if self._respawns[slot] >= self.config.worker_restarts:
+                print(f"pool worker {worker.id} exited "
+                      f"{worker.proc.returncode}; its restarts are spent, "
+                      "leaving the slot down", file=sys.stderr, flush=True)
+                continue
+            self._respawns[slot] += 1
+            print(f"pool worker {worker.id} exited "
+                  f"{worker.proc.returncode}; respawning "
+                  f"({self._respawns[slot]}/{self.config.worker_restarts})",
                   file=sys.stderr, flush=True)
             self._spawn_worker(slot)
-
-    def _poll_pool(self) -> None:
-        """Reconcile the registry with the pool's durable truth.
-
-        Workers own execution; the service's scheduler degenerates to an
-        observer: a ``status.json`` appearing makes a job terminal, a live
-        lease makes it ``running`` (and names the worker in its status
-        body), a lapsed lease returns it to ``queued`` until a peer
-        adopts.  The FairQueue keeps admission caps and queue positions
-        meaningful, so jobs are removed from it exactly when a worker
-        claims them.
-        """
-        for job in list(self.jobs.values()):
-            if job.terminal:
-                continue
-            status = read_json_tolerant(job.job_dir / STATUS_FILE)
-            if status is not None:
-                self.queue.cancel(job.id)  # may still be in the fair queue
-                job.state = str(status.get("state", "done"))
-                job.exit_code = status.get("exit_code")
-                job.error = status.get("error")
-                job.latency = status.get("latency")
-                if isinstance(status.get("completed_runs"), int):
-                    job.completed_runs = status["completed_runs"]
-                if isinstance(status.get("quarantined_runs"), int):
-                    job.quarantined_runs = status["quarantined_runs"]
-                lease_info: Dict[str, Any] = {}
-                if "lease" in status:
-                    lease_info["token"] = status["lease"]
-                if "worker" in status:
-                    lease_info["worker"] = status["worker"]
-                job.lease = lease_info or None
-                self._metric_jobs().labels(status=job.state).inc()
-                continue
-            state = read_lease(job.job_dir)
-            live = (state is not None and not state.released
-                    and not state.expired(self._pool.config.ttl))
-            if live:
-                if job.state != "running":
-                    self.queue.cancel(job.id)
-                    job.state = "running"
-                    self._dispatch_counter += 1
-                    job.started_order = self._dispatch_counter
-                    self._stream_for(job).start()
-                job.lease = state.to_json()
-            elif job.state == "running":
-                # The holder died mid-job; until a peer adopts, the job is
-                # claimable again.  Its journal keeps everything done.
-                job.state = "queued"
-                job.lease = state.to_json() if state is not None else None
-        if self.state == "ready":
-            self._respawn_workers()
-
-    def _pool_drained(self) -> bool:
-        """Draining is done when every worker process has exited."""
-        now = asyncio.get_running_loop().time()
-        if self._drain_started is None:
-            self._drain_started = now
-        alive = [proc for proc in self._worker_procs
-                 if proc is not None and proc.poll() is None]
-        if alive and now >= self._drain_started + self.config.drain_grace:
-            for proc in alive:  # SIGTERM went unanswered: escalate
-                _kill_job_tree(proc)
-            return False
-        if alive:
-            return False
-        for job in self.jobs.values():
-            # Started-but-unfinished work is resumable (exit 8), matching
-            # the process-mode drain; never-started queued jobs keep their
-            # positions and the service exits 0, also matching.
-            if not job.terminal and (job.job_dir / JOURNAL_FILE).exists():
-                job.state = "interrupted"
-                self._drained_interrupted = True
-        return True
-
-    def _journal_resumable(self, job: Job) -> bool:
-        try:
-            from repro.sim.supervisor import inspect_journal
-            inspect_journal(job.journal_path,
-                            keys=job.spec.journal_keys(job.job_dir))
-            return True
-        except CheckpointError:
-            return False
-
-    def _finalize(self, job: Job, exitcode: Optional[int]) -> None:
-        # Before the Process can be collected and its sentinel fd closed.
-        asyncio.get_running_loop().remove_reader(job.process.sentinel)
-        del self._running[job.id]
-        self.queue.release(job.tenant)
-        job.process = None
-        job.exit_code = exitcode
-        if job.watchdog_fired:
-            cap = (job.spec.max_seconds if job.spec.max_seconds is not None
-                   else self.config.job_timeout)
-            exc = JobTimeoutError(
-                f"job {job.id} exceeded its {cap:g}s wall-clock watchdog "
-                "and was killed; its journal is kept for post-mortems")
-            job.state = "failed"
-            job.error = {"type": type(exc).__name__, "message": str(exc)}
-            job.write_status()
-            self._metric_jobs().labels(status="timeout").inc()
-        elif exitcode in (0, 1):
-            self._finalize_finished(job, exitcode)
-        elif exitcode == SweepInterrupted.exit_code or (exitcode or 0) < 0:
-            self._finalize_interrupted(job, exitcode)
-        else:
-            error_path = job.job_dir / ERROR_FILE
-            if error_path.exists():
-                try:
-                    job.error = read_json(error_path)
-                except ValueError:
-                    pass
-            if job.error is None:
-                job.error = {"type": "ReproError",
-                             "message": f"job process exited {exitcode}"}
-            job.state = "failed"
-            job.write_status()
-            self._metric_jobs().labels(status="failed").inc()
-
-    def _finalize_finished(self, job: Job, exitcode: int) -> None:
-        from repro.sim.supervisor import inspect_journal
-        try:
-            summary = inspect_journal(job.journal_path,
-                                      keys=job.spec.journal_keys(job.job_dir))
-            job.completed_runs = len(summary.completed)
-            job.quarantined_runs = len(summary.quarantined)
-            latency: Dict[str, float] = dict(summary.latency or {})
-            if summary.elapsed is not None:
-                latency["total"] = summary.elapsed
-            job.latency = latency or None
-        except CheckpointError as exc:
-            job.error = {"type": type(exc).__name__, "message": str(exc)}
-        job.state = "done" if exitcode == 0 else "partial"
-        job.write_status()
-        self._metric_jobs().labels(status=job.state).inc()
-        if job.latency and "total" in job.latency:
-            REGISTRY.histogram("repro_serve_job_seconds",
-                               "Wall clock of finished jobs"
-                               ).observe(job.latency["total"])
-
-    def _finalize_interrupted(self, job: Job,
-                              exitcode: Optional[int]) -> None:
-        job.resume = self._journal_resumable(job)
-        if self.state == "draining":
-            # Checkpointed by the drain: resumable at the next start.
-            job.state = "interrupted"
-            self._drained_interrupted = True
-            self._metric_jobs().labels(status="interrupted").inc()
-            return
-        job.restarts += 1
-        if job.restarts > self.config.max_job_restarts:
-            job.state = "failed"
-            job.error = {"type": "WorkerCrashError",
-                         "message": f"job process died {job.restarts} times "
-                                    f"(last exit {exitcode}); giving up"}
-            job.write_status()
-            self._metric_jobs().labels(status="crashed").inc()
-            return
-        job.state = "queued"
-        self.queue.requeue_front(job)
-        self._metric_jobs().labels(status="restarted").inc()
 
     # -- job admission and lookup -------------------------------------------
 
@@ -877,42 +864,6 @@ class SimulationService:
             raise ServiceDrainingError(
                 f"service is {self.state}; not admitting jobs")
         spec = JobSpec.from_payload(payload)
-        if self._pool is not None:
-            return self._submit_pool(spec)
-        seq = self._seq
-        job = Job(id=job_id(seq, spec.tenant), seq=seq, spec=spec,
-                  job_dir=self.state_dir / "jobs" / job_id(seq, spec.tenant))
-        try:
-            self.queue.submit(job)
-        except ServiceSaturatedError:
-            self._metric_shed().labels(reason="saturated").inc()
-            raise
-        except ServiceError:
-            self._metric_shed().labels(reason="quota").inc()
-            raise
-        # Admitted: now (and only now) it becomes durable.
-        self._seq = seq + 1
-        try:
-            job.job_dir.mkdir(parents=True, exist_ok=True)
-            write_json_durable(job.job_dir / SPEC_FILE, spec_record(job))
-        except OSError as exc:
-            self.queue.cancel(job.id)
-            raise ServiceError(
-                f"cannot persist job {job.id}: {exc}") from exc
-        self.jobs[job.id] = job
-        REGISTRY.counter("repro_serve_submissions_total",
-                         "Jobs admitted into the queue").inc()
-        self._wake.set()
-        return job
-
-    def _submit_pool(self, spec: JobSpec) -> Job:
-        """Pool-mode admission: same caps, durable publish via the pool.
-
-        The admission caps are checked against this service's view first
-        (so sheds stay cheap and typed), then the pool's atomic
-        staging+rename publishes the job — a worker may legitimately claim
-        it before this method returns.
-        """
         try:
             self.queue.admission_check(spec.tenant)
         except ServiceSaturatedError:
@@ -921,12 +872,14 @@ class SimulationService:
         except ServiceError:
             self._metric_shed().labels(reason="quota").inc()
             raise
-        job = self._pool.admit(spec)
-        self.queue.restore(job)  # caps already checked; keep its position
+        # Admitted: now (and only now) it becomes durable, unpublished
+        # until the scheduler picks it.
+        job = self._pool.admit(spec, publish=False)
+        self.queue.restore(job)  # caps already checked
         self.jobs[job.id] = job
-        self._seq = max(self._seq, job.seq + 1)
         REGISTRY.counter("repro_serve_submissions_total",
                          "Jobs admitted into the queue").inc()
+        self._wake.set()
         return job
 
     def _get_job(self, job_id_str: str) -> Job:
@@ -1087,8 +1040,7 @@ class SimulationService:
                                                     f"{request.path}"}})
 
     def _cancel(self, job: Job) -> bytes:
-        if self._pool is not None:
-            return self._cancel_pool(job)
+        # A queued job is unpublished, so no worker can claim it.
         if job.state == "queued" and self.queue.cancel(job.id) is not None:
             job.state = "cancelled"
             job.write_status()
@@ -1099,37 +1051,6 @@ class SimulationService:
                 409, {"error": {"type": "ServiceError",
                                 "message": "job is running; wait for it or "
                                            "drain the service"}})
-        return _json_response(200, job.status_payload())
-
-    def _cancel_pool(self, job: Job) -> bytes:
-        """Cancel in pool mode: win the job's lease, then it cannot run.
-
-        A cancelled pool job gets a fenced terminal ``status.json`` like
-        any other outcome, so every worker's claim scan skips it for the
-        same reason it skips completed jobs.  If the lease is held by a
-        live worker the cancel is a 409, exactly like a running
-        process-mode job.
-        """
-        if job.terminal:
-            return _json_response(200, job.status_payload())
-        handle = acquire_lease(job.job_dir, "service",
-                               self._pool.config.ttl)
-        if handle is None:
-            return _json_response(
-                409, {"error": {"type": "ServiceError",
-                                "message": "job is leased by a worker; wait "
-                                           "for it or drain the service"}})
-        if read_json_tolerant(job.job_dir / STATUS_FILE) is not None:
-            handle.release()  # finished in the claim window; report as-is
-            return _json_response(200, job.status_payload())
-        job.state = "cancelled"
-        payload = job.status_payload()
-        payload["lease"] = handle.token
-        payload["worker"] = "service"
-        write_json_durable(job.job_dir / STATUS_FILE, payload)
-        handle.release()
-        self.queue.cancel(job.id)
-        self._metric_jobs().labels(status="cancelled").inc()
         return _json_response(200, job.status_payload())
 
     async def _serve_events(self, job: Job,
@@ -1181,7 +1102,6 @@ def run_service(config: ServiceConfig) -> int:
 
 
 __all__ = [
-    "JOB_PRELOAD",
     "SERVE_INFO_FILE",
     "ServiceConfig",
     "SimulationService",

@@ -15,19 +15,19 @@ durable on-disk layout that makes all of it survive SIGKILL:
     error.json      # the typed error of a failed job, when one was raised
 ```
 
-The journal doubles as the *result channel*: the job executes in a child
-process (:func:`job_process_main`) whose only durable output is the
-journal, so the service parent — and a restarted service after a crash —
-reads results the exact same way: :func:`~repro.sim.supervisor.
-SweepJournal.load_completed`.  There is no state that exists only in
-memory, which is the whole recovery story.
+The journal doubles as the *result channel*: the job executes in a pool
+worker (:func:`repro.serve.pool.execute_claim`) whose durable outputs are
+the journal and the fenced ``status.json``, so the service — and a
+restarted service after a crash — reads results the exact same way:
+:func:`~repro.sim.supervisor.SweepJournal.load_completed`.  There is no
+state that exists only in memory, which is the whole recovery story.
 
 Job life cycle (see DESIGN.md §10 for the full state machine)::
 
     queued -> running -> done | partial | failed
-       ^          |
-       |          v (crash / drain)
-       +---- interrupted            (resumable: journal rescan on restart)
+                 |      (a worker crash: a peer adopts, still running)
+                 v (drain)
+            interrupted             (resumable: journal rescan on restart)
 
 ``queued`` jobs may also end ``cancelled`` (DELETE) or, at admission time,
 never exist at all (shed with a typed 429 before anything is persisted).
@@ -39,13 +39,12 @@ import json
 import os
 import pathlib
 import re
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.static_topologies import STATIC_LABELS
 from repro.config import preset
-from repro.resilience.errors import ConfigError, ReproError, SweepInterrupted
+from repro.resilience.errors import ConfigError
 from repro.sim.results import DEFAULT_ENGINE, ENGINES
 
 #: Files of the per-job directory (the durable contract with recovery).
@@ -277,22 +276,19 @@ class Job:
     after a mid-run crash)."""
 
     restarts: int = 0
+    """Holders that died mid-job (:func:`repro.serve.lease.lapsed_fences`)."""
+
     started_order: Optional[int] = None
     """Global dispatch ordinal — proves scheduling order in tests."""
 
-    started_at: Optional[float] = None   # monotonic, service-local
     deadline: Optional[float] = None     # monotonic watchdog deadline
-    watchdog_fired: bool = False
     exit_code: Optional[int] = None
     error: Optional[Dict[str, str]] = None
     latency: Optional[Dict[str, float]] = None
     completed_runs: int = 0
     quarantined_runs: int = 0
     lease: Optional[Dict[str, Any]] = None
-    """The pool lease view of this job (owner/fence/ages), when it runs
-    under ``repro worker`` rather than a service-launched child."""
-
-    process: Any = field(default=None, repr=False)
+    """The pool lease view of this job (owner/fence/ages)."""
 
     @property
     def tenant(self) -> str:
@@ -326,8 +322,35 @@ class Job:
             out["lease"] = self.lease
         return out
 
+    def apply_status(self, status: Dict[str, Any]) -> None:
+        """Take on a terminal ``status.json``'s outcome fields."""
+        self.state = str(status.get("state", "done"))
+        self.exit_code = status.get("exit_code")
+        self.error = status.get("error")
+        self.latency = status.get("latency")
+        self.restarts = _as_int(status.get("restarts"), self.restarts)
+        self.resume = bool(status.get("resume", self.resume))
+        if status.get("started_order") is not None:
+            self.started_order = status["started_order"]
+        self.completed_runs = _as_int(status.get("completed_runs"), 0)
+        self.quarantined_runs = _as_int(status.get("quarantined_runs"), 0)
+        lease = status.get("lease")
+        if isinstance(lease, str):
+            # Pool workers stamp the raw fencing token plus a separate
+            # "worker" field; normalise to the dict shape kept in memory.
+            self.lease = {"token": lease, "worker": status.get("worker")}
+        else:
+            self.lease = lease if isinstance(lease, dict) else None
+
     def write_status(self) -> None:
         write_json_durable(self.job_dir / STATUS_FILE, self.status_payload())
+
+
+def _as_int(value: Any, default: int) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return default
 
 
 def job_id(seq: int, tenant: str) -> str:
@@ -339,42 +362,6 @@ def spec_record(job: Job) -> Dict[str, Any]:
     return {"id": job.id, "seq": job.seq, "spec": job.spec.payload()}
 
 
-# -- the job child process ---------------------------------------------------
-
-def job_process_main(payload: Dict[str, Any], job_dir: str,
-                     resume: bool) -> None:
-    """Entry point of the per-job child process.
-
-    Runs the sweep under the full supervision ladder with the job's
-    journal; the exit code is the contract with the service parent:
-
-    - ``0`` — every run completed (``report.ok``);
-    - ``1`` — finished, but some runs were quarantined (partial results);
-    - ``8`` — drained on SIGTERM (``SweepInterrupted``): resumable;
-    - any other :class:`~repro.resilience.errors.ReproError` exit code —
-      a typed failure, details in ``error.json``;
-    - killed (negative) — crash or the service watchdog: the parent knows
-      which, because the watchdog is the parent.
-    """
-    from repro.sim.supervisor import SweepPolicy, run_supervised
-
-    job_path = pathlib.Path(job_dir)
-    spec = JobSpec.from_payload(payload)
-    specs = spec.to_runspecs(job_path)
-    policy = SweepPolicy(run_timeout=spec.run_timeout, retries=spec.retries)
-    try:
-        report = run_supervised(specs, jobs=spec.jobs, policy=policy,
-                                journal=job_path / JOURNAL_FILE,
-                                resume=resume)
-    except SweepInterrupted:
-        sys.exit(SweepInterrupted.exit_code)
-    except ReproError as exc:
-        write_json_durable(job_path / ERROR_FILE,
-                           {"type": type(exc).__name__, "message": str(exc)})
-        sys.exit(exc.exit_code)
-    sys.exit(0 if report.ok else 1)
-
-
 __all__ = [
     "ERROR_FILE",
     "JOURNAL_FILE",
@@ -384,7 +371,6 @@ __all__ = [
     "STATUS_FILE",
     "TERMINAL_STATES",
     "job_id",
-    "job_process_main",
     "known_schemes",
     "read_json",
     "read_json_tolerant",

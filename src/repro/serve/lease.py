@@ -252,7 +252,23 @@ class LeaseHandle:
                                 "released_at": time.time()})
 
 
-def acquire(job_dir, owner: str, ttl: float) -> Optional[LeaseHandle]:
+def lapsed_fences(job_dir) -> int:
+    """Fences below the current one that ended without a release: each
+    is a holder that died mid-job.  Unlike :attr:`LeaseState.reclaims`,
+    drain handoffs (which release) do not count."""
+    lease_dir = pathlib.Path(job_dir) / LEASE_DIR
+    try:
+        names = set(os.listdir(lease_dir))
+    except OSError:
+        return 0
+    fences = sorted(name for name in names
+                    if name.startswith(_CLAIM_PREFIX) and "." not in name)
+    return sum(1 for name in fences[:-1]
+               if name + _RELEASED_SUFFIX not in names)
+
+
+def acquire(job_dir, owner: str, ttl: float,
+            steal: Optional[int] = None) -> Optional[LeaseHandle]:
     """Try to claim the job's next fence; ``None`` when it is held or lost
     to a racing peer (callers just rescan).
 
@@ -260,6 +276,9 @@ def acquire(job_dir, owner: str, ttl: float) -> Optional[LeaseHandle]:
     otherwise CAS-create ``claim-(N+1)`` with ``O_EXCL``.  Exactly one
     contender wins each fence, and a winner that dies before writing its
     owner record still fences (the empty file's mtime starts its TTL).
+    ``steal`` names a live fence to claim over anyway: its holder was
+    killed by the caller, or is to be fenced out (its next write fails).
+    Any other live fence still refuses the claim.
     """
     if ttl <= 0:
         raise PoolCorruptError(f"lease ttl must be > 0, got {ttl}")
@@ -271,7 +290,8 @@ def acquire(job_dir, owner: str, ttl: float) -> Optional[LeaseHandle]:
         raise PoolCorruptError(
             f"cannot create lease dir {lease_dir}: {exc}") from exc
     state = read_lease(job_dir)
-    if state is not None and not state.released and not state.expired(ttl):
+    if (state is not None and not state.released and not state.expired(ttl)
+            and state.fence != steal):
         return None
     fence = (state.fence + 1) if state is not None else 1
     claim_path = _claim_path(job_dir, fence)
@@ -305,6 +325,7 @@ __all__ = [
     "LeaseHandle",
     "LeaseState",
     "acquire",
+    "lapsed_fences",
     "lease_token",
     "read_lease",
 ]

@@ -1,26 +1,35 @@
 """The shared worker pool: a filesystem-backed durable queue that any
 number of ``repro worker`` processes drain cooperatively.
 
-Where :mod:`repro.serve.app` runs jobs in children *it* spawns, the pool
-inverts control: jobs are admitted into a shared directory, and workers —
-started by the service (``repro serve --workers N``), by hand, or on
-different machines sharing a filesystem — *pull* work by claiming leases
-(:mod:`repro.serve.lease`).  The layout::
+The pool is where every job executes.  The service
+(:mod:`repro.serve.app`) is the only scheduler: it admits jobs into the
+pool unpublished and *publishes* each one when its fair queue picks it;
+workers — the service's own (``repro serve --workers N``), started by
+hand, or on different machines sharing a filesystem — *pull* published
+work by claiming leases (:mod:`repro.serve.lease`).  Without a service
+(:meth:`SharedPool.admit` plus ``repro worker``) a job is published at
+admission.  The layout::
 
     <pool_dir>/
         pool.json             # heartbeat cadence + allowed misses (the TTL)
         jobs/<job_id>/        # the standard job-dir contract (jobs.py)
             spec.json         #   ... plus lease/ (lease.py)
+        pending/<job_id>      # the claimable index: one marker per
+                              #   published job
         staging/              # admission scratch: jobs appear atomically
         workers/<id>.json     # per-worker liveness heartbeats
 
-Three properties carry the design:
+Four properties carry the design:
 
 - **Atomic admission.**  A job is staged (``spec.json`` fsync'd in
   ``staging/``) and then ``os.rename``\\ d into ``jobs/`` — a scanning
   worker sees either no job or a complete one, never a half-admitted dir.
   Sequence numbers are reserved with ``O_EXCL`` markers so concurrent
   admitters cannot mint duplicate ``seq`` values.
+- **A claimable index.**  Publishing renames a marker into ``pending/``;
+  :meth:`SharedPool.claim_next` lists that directory only, so a claim
+  costs O(published jobs), not O(jobs ever admitted).  The service
+  withdraws a job's marker once its fenced ``status.json`` has landed.
 - **Lease-fenced execution.**  A worker claims a job by winning the next
   fence (:func:`repro.serve.lease.acquire`), heartbeats it from a daemon
   thread, and stamps the fencing token into every journal record and the
@@ -41,9 +50,13 @@ instants.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
+import select
 import shutil
+import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -69,7 +82,7 @@ from repro.serve.jobs import (
     spec_record,
     write_json_durable,
 )
-from repro.serve.lease import LeaseHandle, acquire, read_lease
+from repro.serve.lease import LeaseHandle, acquire, lapsed_fences, read_lease
 from repro.serve.recovery import recover_job_dir
 
 #: The pool's durable configuration file (written once at creation).
@@ -77,6 +90,7 @@ POOL_FILE = "pool.json"
 POOL_VERSION = 1
 
 JOBS_DIR = "jobs"
+PENDING_DIR = "pending"
 STAGING_DIR = "staging"
 WORKERS_DIR = "workers"
 
@@ -135,7 +149,7 @@ class SharedPool:
         root = pathlib.Path(root)
         try:
             root.mkdir(parents=True, exist_ok=True)
-            for sub in (JOBS_DIR, STAGING_DIR, WORKERS_DIR):
+            for sub in (JOBS_DIR, PENDING_DIR, STAGING_DIR, WORKERS_DIR):
                 (root / sub).mkdir(exist_ok=True)
         except OSError as exc:
             raise PoolCorruptError(
@@ -159,7 +173,7 @@ class SharedPool:
         if not pool_file.exists():
             raise PoolCorruptError(
                 f"{root} is not a pool directory (no {POOL_FILE}); "
-                "create one with 'repro serve --workers' or SharedPool.ensure")
+                "create one with 'repro serve' or SharedPool.ensure")
         return cls(root, _load_config(pool_file))
 
     # -- admission -----------------------------------------------------------
@@ -182,15 +196,18 @@ class SharedPool:
                     continue
         return best
 
-    def admit(self, spec: JobSpec) -> Job:
-        """Durably admit a job; it is claimable the instant this returns.
+    def admit(self, spec: JobSpec, publish: bool = True) -> Job:
+        """Durably admit a job; published, it is claimable the instant
+        this returns.
 
         The sequence number is reserved with an ``O_EXCL`` marker in
         ``staging/`` (so concurrent admitters — the service plus a CLI
         submit, say — never mint the same ``seq``), the job dir is staged
         with its fsync'd ``spec.json``, and one ``os.rename`` publishes
         it.  A crash mid-admission leaves either a stale staging entry
-        (burning one seq number, harmless) or the complete job.
+        (burning one seq number, harmless) or the complete job.  The
+        service admits with ``publish=False`` and publishes when its
+        scheduler picks the job.
         """
         staging = self.root / STAGING_DIR
         while True:
@@ -229,7 +246,37 @@ class SharedPool:
                     "repro_pool_admissions_total",
                     "Jobs admitted into the shared pool",
                     labels=("tenant",)).labels(tenant=spec.tenant).inc()
+            if publish:
+                self.publish(job)
             return job
+
+    # -- the claimable index -------------------------------------------------
+
+    def publish(self, job: Job, started_order: Optional[int] = None) -> None:
+        """Make ``job`` claimable: rename its marker into ``pending/``.
+
+        The marker carries the dispatch ordinal that the claiming worker
+        stamps into the job's status.
+        """
+        stage = self.root / STAGING_DIR / f"{job.id}.pub-{os.getpid()}"
+        with open(stage, "w", encoding="utf-8") as fh:
+            json.dump({"started_order": started_order}, fh)
+        os.rename(stage, self.root / PENDING_DIR / job.id)
+        _fsync_dir(self.root / PENDING_DIR)
+
+    def withdraw(self, job_id_str: str) -> None:
+        """Take a job out of the claimable index (a no-op if it is out)."""
+        try:
+            os.unlink(self.root / PENDING_DIR / job_id_str)
+        except FileNotFoundError:
+            pass
+
+    def published(self) -> List[str]:
+        """Ids of the published jobs, in admission (``seq``) order."""
+        try:
+            return sorted(os.listdir(self.root / PENDING_DIR))
+        except OSError:
+            return []
 
     # -- claiming ------------------------------------------------------------
 
@@ -244,17 +291,18 @@ class SharedPool:
 
     def claim_next(self, owner: str) -> Optional[
             Tuple[Job, LeaseHandle, bool]]:
-        """Claim the lowest-seq claimable job for ``owner``.
+        """Claim the lowest-seq claimable published job for ``owner``.
 
         Returns ``(job, lease handle, resume?)`` or ``None`` when nothing
-        is claimable right now.  A job is claimable when it is not
-        terminal and its lease (if any) is released or expired; ``resume``
-        is True when a valid journal exists, i.e. this claim *adopts* a
-        peer's interrupted work.
+        is claimable right now.  A published job is claimable when it is
+        not terminal and its lease (if any) is released or expired;
+        ``resume`` is True when a valid journal exists, i.e. this claim
+        *adopts* a peer's interrupted work.
         """
-        for job_dir in self.job_dirs():
+        for jid in self.published():
+            job_dir = self.jobs_root / jid
             if read_json_tolerant(job_dir / STATUS_FILE) is not None:
-                continue  # terminal
+                continue  # terminal; withdrawn once the service sees it
             state = read_lease(job_dir)
             if (state is not None and not state.released
                     and not state.expired(self.config.ttl)):
@@ -269,6 +317,9 @@ class SharedPool:
                 # Completed (or cancelled) between our scan and the claim.
                 handle.release()
                 continue
+            marker = read_json_tolerant(self.root / PENDING_DIR / jid) or {}
+            entry.job.started_order = marker.get("started_order")
+            entry.job.restarts = lapsed_fences(job_dir)
             resume = entry.phase == "interrupted"
             if REGISTRY.enabled:
                 REGISTRY.counter(
@@ -283,9 +334,10 @@ class SharedPool:
     # -- introspection -------------------------------------------------------
 
     def all_terminal(self) -> bool:
-        """Every admitted job has a durable ``status.json``."""
-        return all(read_json_tolerant(d / STATUS_FILE) is not None
-                   for d in self.job_dirs())
+        """Every published job has a durable ``status.json`` (in a pool
+        without a service, every admitted job is published)."""
+        return all(read_json_tolerant(self.jobs_root / jid / STATUS_FILE)
+                   is not None for jid in self.published())
 
     def write_worker_heartbeat(self, worker_id: str, jobs_done: int,
                                running: Optional[str]) -> None:
@@ -293,6 +345,29 @@ class SharedPool:
             "worker": worker_id, "pid": os.getpid(),
             "updated_at": time.time(), "jobs_done": jobs_done,
             "running": running})
+
+    def worker_heartbeats(self) -> List[Dict[str, Any]]:
+        """Every worker's last heartbeat, by worker id, with its ``age``."""
+        workers_dir = self.root / WORKERS_DIR
+        try:
+            names = sorted(os.listdir(workers_dir))
+        except OSError:
+            return []
+        now = time.time()
+        beats = []
+        for name in names:
+            if not name.endswith(".json"):
+                continue
+            payload = read_json_tolerant(workers_dir / name)
+            if payload is None:
+                continue
+            try:
+                age = now - float(payload.get("updated_at", now))
+            except (TypeError, ValueError):
+                continue
+            payload["age"] = max(0.0, age)
+            beats.append(payload)
+        return beats
 
 
 def _load_config(pool_file: pathlib.Path) -> PoolConfig:
@@ -428,14 +503,20 @@ def _stop_beat(stop: threading.Event, beater: threading.Thread) -> None:
 
 def run_worker(pool_dir, worker_id: str, drain: bool = False,
                poll_interval: float = 0.2,
-               max_jobs: Optional[int] = None) -> int:
+               max_jobs: Optional[int] = None,
+               channel: Optional[socket.socket] = None) -> int:
     """The ``repro worker`` main loop: claim, execute, repeat.
 
-    With ``drain=True`` the worker exits once every admitted job is
+    With ``drain=True`` the worker exits once every published job is
     terminal (waiting out live peers' leases — their jobs become either
     terminal or adoptable); otherwise it polls forever.  ``max_jobs``
     bounds the number of jobs this worker executes (mostly for tests).
     Returns the number of jobs this worker drove to a terminal state.
+
+    ``channel`` connects a service-owned worker to its service: an idle
+    worker waits on it for a publish, so ``poll_interval`` is only the
+    backstop; it writes a byte after each terminal status, so the service
+    reaps at once; and it returns when the service's end closes.
 
     SIGTERM during a sweep drains it (journal flushed, lease released)
     and raises :class:`SweepInterrupted` — exit code 8, same as the
@@ -443,28 +524,59 @@ def run_worker(pool_dir, worker_id: str, drain: bool = False,
     """
     pool = SharedPool.open(pool_dir)
     done = 0
+    beat_due = 0.0
     while True:
         claim = pool.claim_next(worker_id)
         if claim is None:
-            try:
-                pool.write_worker_heartbeat(worker_id, done, None)
-            except OSError:
-                pass
+            if time.monotonic() >= beat_due:
+                _idle_heartbeat(pool, worker_id, done)
+                beat_due = time.monotonic() + pool.config.heartbeat
             if max_jobs is not None and done >= max_jobs:
                 return done
             if drain and pool.all_terminal():
                 return done
-            time.sleep(poll_interval)
+            if channel is None:
+                time.sleep(poll_interval)
+            elif select.select([channel], [], [], poll_interval)[0]:
+                try:
+                    if not channel.recv(4096):
+                        return done  # the service is gone
+                except OSError:
+                    return done
             continue
         job, handle, resume = claim
         execute_claim(pool, job, handle, worker_id, resume, jobs_done=done)
         done += 1
-        try:
-            pool.write_worker_heartbeat(worker_id, done, None)
-        except OSError:
-            pass
+        _idle_heartbeat(pool, worker_id, done)
+        beat_due = time.monotonic() + pool.config.heartbeat
+        if channel is not None:
+            try:
+                channel.send(b"\0")
+            except OSError:
+                pass  # the service is gone; the next wait sees it
         if max_jobs is not None and done >= max_jobs:
             return done
+
+
+def _idle_heartbeat(pool: SharedPool, worker_id: str, done: int) -> None:
+    try:
+        pool.write_worker_heartbeat(worker_id, done, None)
+    except OSError:
+        pass
+
+
+def service_worker_main(pool_dir: str, worker_id: str,
+                        poll_interval: str) -> int:
+    """Entry point of a worker the service spawns; fd 0 is its channel
+    (see :func:`run_worker`).  Returns the process exit code."""
+    channel = socket.socket(fileno=0)
+    try:
+        run_worker(pool_dir, worker_id, poll_interval=float(poll_interval),
+                   channel=channel)
+    except ReproError as exc:
+        print(f"worker {worker_id}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
 
 
 # -- status ------------------------------------------------------------------
@@ -508,21 +620,7 @@ def pool_status(pool_dir) -> Dict[str, Any]:
             reclaims += lease_state.reclaims
         counts[state] = counts.get(state, 0) + 1
         jobs.append(entry)
-    workers = []
-    workers_dir = pool.root / WORKERS_DIR
-    try:
-        names = sorted(os.listdir(workers_dir))
-    except OSError:
-        names = []
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        payload = read_json_tolerant(workers_dir / name)
-        if payload is None:
-            continue
-        age = now - float(payload.get("updated_at", now))
-        payload["age"] = max(0.0, age)
-        workers.append(payload)
+    workers = pool.worker_heartbeats()
     if REGISTRY.enabled:
         REGISTRY.gauge(
             "repro_pool_reclaims",
@@ -550,4 +648,5 @@ __all__ = [
     "execute_claim",
     "pool_status",
     "run_worker",
+    "service_worker_main",
 ]

@@ -131,9 +131,9 @@ class FairQueue:
         """Raise the typed shed error a submission from ``tenant`` would
         get, without enqueueing anything.
 
-        Split out of :meth:`submit` so callers that persist jobs somewhere
-        *else* (the shared worker pool admits to its own directory, not to
-        this queue) can still apply the same caps before writing anything.
+        Split out of :meth:`submit` for callers that must persist a job
+        before it has an id (the service admits into the shared worker
+        pool, which mints the ``seq``) and still shed before writing.
         """
         if self.depth >= self.max_queued:
             raise ServiceSaturatedError(
@@ -159,11 +159,6 @@ class FairQueue:
         Restored in ``seq`` order by the caller, so positions survive.
         """
         self._enqueue(job)
-
-    def requeue_front(self, job: Any) -> None:
-        """Put an interrupted job back at the head of its tenant's FIFO."""
-        self._activate(job.tenant)
-        self._queues[job.tenant].appendleft(job)
 
     def _enqueue(self, job: Any) -> None:
         self._activate(job.tenant)

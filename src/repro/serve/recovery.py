@@ -82,13 +82,6 @@ class RecoveryReport:
         return [r for r in self.jobs if r.phase == "terminal"]
 
 
-def _as_int(value: Any, default: int) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return default
-
-
 def recover_job_dir(job_dir: pathlib.Path) -> Optional[RecoveredJob]:
     """Classify one job directory; ``None`` when it is not a valid job."""
     try:
@@ -103,24 +96,7 @@ def recover_job_dir(job_dir: pathlib.Path) -> Optional[RecoveredJob]:
     if status_path.exists():
         status = read_json_tolerant(status_path)
         if status is not None:
-            job.state = str(status.get("state", "done"))
-            job.exit_code = status.get("exit_code")
-            job.error = status.get("error")
-            job.latency = status.get("latency")
-            job.restarts = _as_int(status.get("restarts"), 0)
-            job.started_order = status.get("started_order")
-            job.completed_runs = _as_int(status.get("completed_runs"), 0)
-            job.quarantined_runs = _as_int(status.get("quarantined_runs"), 0)
-            lease = status.get("lease")
-            if isinstance(lease, str):
-                # Pool workers stamp the raw fencing token plus a
-                # separate "worker" field; normalise to the dict shape
-                # the service keeps in memory.
-                job.lease = {"token": lease, "worker": status.get("worker")}
-            elif isinstance(lease, dict):
-                job.lease = lease
-            else:
-                job.lease = None
+            job.apply_status(status)
             return RecoveredJob(job=job, phase="terminal", status=status)
         # A truncated, half-written, or non-object status.json means the
         # completion write never became durable (or the file was damaged

@@ -956,7 +956,7 @@ def run_supervised(
                     if pool is None:
                         # Always fork: workers start warm from this
                         # process, whatever the caller's default start
-                        # method (a spawned or forkserver child inherits
+                        # method (a spawned child inherits
                         # its own, and would re-import the simulator).
                         # Load the simulator here first, so it is
                         # imported once, not once per worker and pool.

@@ -2,8 +2,8 @@
 
 The service under test always runs as a real subprocess in its own session
 (``start_new_session=True``) so chaos tests can SIGKILL the whole process
-group — service, its job forkserver *and* the job processes — exactly like
-a machine loss, without orphaning workers into the test run.
+group — service, its pool workers *and* their sweep processes — exactly
+like a machine loss, without orphaning workers into the test run.
 """
 
 import os
@@ -72,7 +72,7 @@ def wait_for_ready(state_dir, proc=None, timeout=60.0):
 def wait_for_journal_run(job_dir, timeout=60.0):
     """Block until the job's journal holds >= 1 completed-run record.
 
-    The definition of "mid-sweep": the spawned job process is past its
+    The definition of "mid-sweep": the worker running the job is past its
     bootstrap, the journal header is durable, and at least one run result
     landed — so a kill/drain now provably interrupts in-flight work.
     """
@@ -97,7 +97,7 @@ def drain(proc, timeout=120.0):
 
 
 def kill_group(proc):
-    """SIGKILL the service's whole process group (service + job children)."""
+    """SIGKILL the service's whole process group (service + workers)."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:

@@ -37,7 +37,7 @@ FAST_JOB = dict(workload="MIX 01", scheme="morphcache", preset="tiny",
 
 
 def test_sigkill_restart_resumes_bit_identically(tmp_path):
-    proc, client = start_service(tmp_path, "--max-jobs", "1")
+    proc, client = start_service(tmp_path, "--workers", "1")
     sweep_id = queued_id = None
     try:
         sweep = client.submit(tenant="alice", **GOLDEN_JOB)
@@ -50,8 +50,8 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
         job_dir = tmp_path / "jobs" / sweep_id
         wait_for_journal_run(job_dir)
     finally:
-        # The machine dies: service, job child and its pool workers, all
-        # SIGKILLed in one shot.  No journals flushed, no statuses written.
+        # The machine dies: service, its pool worker and the sweep
+        # processes, all SIGKILLed in one shot.  No journals flushed, no statuses written.
         kill_group(proc)
 
     assert not (job_dir / "status.json").exists()

@@ -7,6 +7,7 @@ horizontal scale must be a pure wall-clock optimisation, never a results
 change.
 """
 
+import builtins
 import json
 import os
 import pathlib
@@ -148,6 +149,31 @@ def test_claim_next_releases_on_cancel_race(tmp_path):
         pool_mod.acquire = original
     state = read_lease(job.job_dir)
     assert state.released  # claimed, noticed the status, released
+
+
+def test_claim_next_reads_only_published_jobs(tmp_path, monkeypatch):
+    # The claimable index: with a long terminal history and one published
+    # job, a claim opens no file of any terminal job.
+    pool = make_pool(tmp_path)
+    for _ in range(200):
+        done = pool.admit(make_spec(), publish=False)
+        (done.job_dir / STATUS_FILE).write_text(json.dumps({"state": "done"}))
+    target = pool.admit(make_spec(tenant="t2"))
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(pathlib.Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    job, handle, _ = pool.claim_next("w0")
+    monkeypatch.undo()
+    handle.release()
+    assert job.id == target.id
+    assert [path for path in opened
+            if pool.jobs_root in path.parents
+            and target.job_dir not in path.parents] == []
 
 
 def test_claim_adopts_interrupted_job_with_resume(tmp_path):
@@ -332,3 +358,26 @@ def test_serve_workers_mode_end_to_end(tmp_path):
         code = drain(proc)
     assert code == 0
     kill_group(proc)
+
+
+
+def test_external_worker_adds_capacity(tmp_path):
+    """A service with no workers of its own publishes to an external
+    `repro worker`, counted from its pool heartbeat."""
+    from tests.serve.conftest import kill_group, start_service
+
+    proc, client = start_service(tmp_path, "--workers", "0")
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--pool", str(tmp_path),
+         "--worker-id", "ext-0"],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")), cwd=str(REPO),
+        start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        jid = client.submit(tenant="alice", **TINY)["job"]["id"]
+        done = client.wait_for_state(jid, ("done", "failed"), timeout=120)
+        assert done["state"] == "done"
+        assert done["lease"]["worker"] == "ext-0"
+    finally:
+        kill_group(worker)
+        kill_group(proc)

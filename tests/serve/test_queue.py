@@ -179,15 +179,6 @@ class TestDispatchMechanics:
         queue.release("a")
         assert queue.next_runnable().id == "a2"
 
-    def test_requeue_front_preserves_priority(self):
-        queue = FairQueue()
-        queue.submit(Item("a1", "a", 1))
-        queue.submit(Item("a2", "a", 2))
-        first = queue.next_runnable()
-        queue.release("a")
-        queue.requeue_front(first)  # e.g. the job's process crashed
-        assert queue.next_runnable().id == "a1"
-
     def test_cancel_removes_only_the_target(self):
         queue = FairQueue()
         for item in _items("a", 3):

@@ -9,6 +9,7 @@ mocks, in a second or two each.
 
 import http.client
 import json
+import os
 import pathlib
 import signal
 import time
@@ -46,30 +47,30 @@ TERMINAL = ("done", "partial", "failed")
 
 
 def wait_for_job_tree(service_pid, timeout=60.0):
-    """Pids of the running job child and the sweep worker(s) it forked.
+    """Pids of the pool worker running a job and the sweep process(es)
+    it forked.
 
-    Job children are the forkserver's children, not the service's; the
-    tree is returned once the job child has forked its first worker.
+    Workers are the service's children; the tree is returned once a
+    worker has forked its first sweep process.
     """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         table = process_table()
         tree = descendants(service_pid, table)
-        servers = [pid for pid in tree if "forkserver" in table[pid][2]]
-        for server in servers:
-            for job in (pid for pid, ppid in tree.items() if ppid == server):
-                workers = descendants(job, table)
-                if workers:
-                    return [job, *workers]
+        for worker in (pid for pid, ppid in tree.items()
+                       if ppid == service_pid):
+            sweep = descendants(worker, table)
+            if sweep:
+                return [worker, *sweep]
         time.sleep(0.01)
-    raise AssertionError(f"no job child with a sweep worker within "
+    raise AssertionError(f"no pool worker with a sweep process within "
                          f"{timeout:g}s")
 
 
 @pytest.fixture(scope="module")
 def svc(tmp_path_factory):
     state = tmp_path_factory.mktemp("svc-state")
-    proc, client = start_service(state, "--max-jobs", "2")
+    proc, client = start_service(state, "--workers", "2")
     yield type("Svc", (), {"proc": proc, "client": client, "state": state})
     kill_group(proc)
 
@@ -122,9 +123,8 @@ class TestJobs:
 
     def test_service_process_never_loads_numpy(self, svc):
         # Admission, journal keys and result summaries run in the service
-        # process; only job children, forked from the preloaded
-        # forkserver, load the simulator.  numpy's compiled core would
-        # show in the service's memory map.
+        # process; only pool workers load the simulator.  numpy's
+        # compiled core would show in the service's memory map.
         job_id = svc.client.submit(tenant="dave", **FAST_JOB)["job"]["id"]
         assert svc.client.wait_for_state(job_id, TERMINAL,
                                          timeout=120)["state"] == "done"
@@ -188,7 +188,7 @@ class TestJobListing:
     def test_list_entries_equal_job_status(self, tmp_path):
         # GET /jobs reuses a terminal job's encoded status; every entry
         # must still read exactly as GET /jobs/<id> for the same job.
-        proc, client = start_service(tmp_path / "state", "--max-jobs", "1")
+        proc, client = start_service(tmp_path / "state", "--workers", "1")
         try:
             done = client.submit(tenant="alice", **FAST_JOB)["job"]["id"]
             client.jobs()  # listed before it ends: must not freeze there
@@ -210,7 +210,7 @@ class TestJobListing:
 class TestAdmissionControl:
     def test_shedding_and_drain_interrupt(self, tmp_path):
         proc, client = start_service(
-            tmp_path, "--max-jobs", "1", "--max-queued", "2",
+            tmp_path, "--workers", "1", "--max-queued", "2",
             "--max-queued-per-tenant", "1")
         try:
             hog = client.submit(tenant="hog", **SLOW_JOB)
@@ -235,7 +235,7 @@ class TestAdmissionControl:
             assert 'repro_serve_shed_total{reason="quota"} 1' in metrics
             assert 'repro_serve_shed_total{reason="saturated"} 1' in metrics
 
-            # Drain with a job mid-flight: SIGTERM forwards to the job,
+            # Drain with a job mid-flight: SIGTERM forwards to the worker,
             # whose supervisor flushes its journal and exits resumable; the
             # service exits with the documented interrupted code.
             code = drain(proc)
@@ -246,7 +246,7 @@ class TestAdmissionControl:
             kill_group(proc)
 
     def test_draining_service_sheds_with_503(self, tmp_path):
-        proc, client = start_service(tmp_path, "--max-jobs", "1")
+        proc, client = start_service(tmp_path, "--workers", "1")
         try:
             hog = client.submit(tenant="hog", **SLOW_JOB)
             client.wait_for_state(hog["job"]["id"], ("running",), timeout=60)
@@ -283,8 +283,8 @@ class TestWatchdogAndDrain:
             assert status["error"]["type"] == "JobTimeoutError"
             assert "watchdog" in status["error"]["message"]
 
-            # The kill takes the job's whole tree: the job child *and*
-            # the sweep worker it forked, which would otherwise block on
+            # The kill takes the job's whole tree: the pool worker *and*
+            # the sweep process it forked, which would otherwise block on
             # its call-queue pipe forever as an orphan.
             overdue = client.submit(tenant="alice", max_seconds=3.0,
                                     **LONG_JOB)
@@ -311,15 +311,12 @@ class TestWatchdogAndDrain:
                 assert time.monotonic() < deadline, "jobs never finished"
                 started.update(descendants(proc.pid))
                 time.sleep(0.01)
-            table = process_table()
-            started.update(descendants(proc.pid, table))
-            assert any("forkserver" in table[pid][2]
-                       for pid in started if pid in table)
+            started.update(descendants(proc.pid))
+            assert any(ppid == proc.pid for ppid in started.values())
             assert [client.job(job_id)["state"] for job_id in ids] \
                 == ["done", "done"]
             assert drain(proc) == 0
-            # The forkserver and multiprocessing's resource tracker exit
-            # when the service's end of their pipes closes.
+            # The workers and their sweep processes are gone too.
             assert wait_gone(started, timeout=5.0) == []
         finally:
             kill_group(proc)
@@ -332,18 +329,54 @@ class TestWatchdogAndDrain:
             kill_group(proc)
 
 
+class TestRestartCap:
+    """``max_job_restarts`` counts the deaths of the workers holding a job."""
+
+    def test_worker_death_past_the_cap_fails_the_job(self, tmp_path):
+        proc, client = start_service_with(tmp_path, workers=2,
+                                          max_job_restarts=0)
+        try:
+            job_id = client.submit(tenant="alice", **LONG_JOB)["job"]["id"]
+            holder = wait_for_job_tree(proc.pid)[0]
+            os.kill(holder, signal.SIGKILL)
+            status = client.wait_for_state(job_id, TERMINAL, timeout=60)
+            assert status["state"] == "failed"
+            assert status["error"]["type"] == "WorkerCrashError"
+            assert status["restarts"] == 1
+        finally:
+            kill_group(proc)
+
+    def test_worker_death_under_the_cap_is_adopted(self, tmp_path):
+        proc, client = start_service_with(tmp_path, workers=2)
+        try:
+            job_id = client.submit(tenant="alice", **SLOW_JOB)["job"]["id"]
+            wait_for_journal_run(tmp_path / "jobs" / job_id)
+            holder = wait_for_job_tree(proc.pid)[0]
+            os.kill(holder, signal.SIGKILL)
+            status = client.wait_for_state(job_id, TERMINAL, timeout=120)
+            assert status["state"] == "done"
+            assert status["restarts"] == 1
+            assert status["resume"] is True
+            # The slot's worker was respawned: the service still runs jobs.
+            again = client.submit(tenant="alice", **FAST_JOB)["job"]["id"]
+            assert client.wait_for_state(again, TERMINAL,
+                                         timeout=120)["state"] == "done"
+        finally:
+            kill_group(proc)
+
+
 class TestEventDrivenDispatch:
     """Dispatch reacts to events, not to the ``poll_interval`` tick.
 
     Each service here runs with a 30 s backstop tick: anything that waited
     for the tick would take minutes, so finishing within the bounds below
-    shows that admission, child exits, watchdog deadlines and drains each
-    wake the scheduler themselves.
+    shows that admission, worker wake-ups, watchdog deadlines and drains
+    each wake the scheduler themselves.
     """
 
     def test_freed_slot_is_refilled_without_waiting_for_the_tick(
             self, tmp_path):
-        proc, client = start_service_with(tmp_path, max_concurrent_jobs=1,
+        proc, client = start_service_with(tmp_path, workers=1,
                                           poll_interval=30.0)
         try:
             start = time.monotonic()
@@ -360,10 +393,10 @@ class TestEventDrivenDispatch:
             kill_group(proc)
 
     def test_watchdog_and_drain_wake_the_scheduler(self, tmp_path):
-        proc, client = start_service_with(tmp_path, max_concurrent_jobs=1,
+        proc, client = start_service_with(tmp_path, workers=1,
                                           poll_interval=30.0)
         try:
-            # Warm the forkserver first: its one-off preload would
+            # Warm the worker first: its interpreter start would
             # otherwise eat into the watchdog's one second.
             warm = client.submit(tenant="alice", **FAST_JOB)
             client.wait_for_state(warm["job"]["id"], TERMINAL, timeout=20)
@@ -390,7 +423,7 @@ class TestFairness:
         # each complete >= 40% of all finished jobs.  With one executor
         # slot, stride scheduling makes the dispatch order alternate.
         proc, client = start_service(
-            tmp_path, "--max-jobs", "1", "--max-queued-per-tenant", "4")
+            tmp_path, "--workers", "1", "--max-queued-per-tenant", "4")
         try:
             job = dict(FAST_JOB, epochs=1, trace=False)
             ids = []

@@ -1,9 +1,8 @@
 """Import layering: what each entry point loads (DESIGN.md, "Import layering").
 
 The service, ``repro worker`` and :class:`~repro.serve.client.ServiceClient`
-must not load numpy or the simulator: job children fork warm from the
-service's preloaded forkserver, so the service itself only validates,
-journals and summarises.  Each probe runs in a fresh interpreter and
+must not load numpy or the simulator: pool workers run the jobs, so the
+service itself only validates, journals and summarises.  Each probe runs in a fresh interpreter and
 prints the forbidden modules it ended up with.
 """
 
@@ -97,7 +96,7 @@ def test_client_loads_only_its_seed_helper():
 
 
 def test_service_result_path_imports_no_simulator(tmp_path):
-    # Record a tiny job's journal the way a job child writes it.
+    # Record a tiny job's journal the way a pool worker writes it.
     job_dir = tmp_path / "jobs" / "000001-alice"
     job_dir.mkdir(parents=True)
     spec = JobSpec.from_payload(TINY_JOB)

@@ -391,9 +391,9 @@ class CacheHierarchy:
         ``dups`` then lists the holding slices.  Fault-disabled slices are
         naturally absent — they are flushed when they go offline.
 
-        This is the scatter/gather substrate of the batch engine's group
-        kernel: one scan replaces the per-access probe of every slice in
-        the group, and the kernel keeps the maps current incrementally.
+        The batch engine's group kernel keeps the same view in its own
+        maps (``line -> Entry``, see ``repro.sim.batch._group_maps``); this
+        one-scan form is the reference its tests check them against.
         """
         slices = self.l2s if level == L2 else self.l3s
         index: Dict[int, int] = {}

@@ -53,7 +53,7 @@ exact timing summation, :func:`_timing_exact`):
 
 - **per-core** — all-private LRU topologies
   (``CacheHierarchy.all_private_fast``) whose epoch touches no line another
-  core has referenced (:func:`_percore_applicable`): every multiprogrammed
+  core has referenced (:func:`_private_lines`): every multiprogrammed
   mix.  Each core's trace runs back-to-back in its own tight loop with the
   slice probes inlined, per-core integer counters instead of per-access
   stat increments and no per-access timing calls; the fastest path
@@ -64,14 +64,18 @@ exact timing summation, :func:`_timing_exact`):
   programs' shared address space), run by :func:`_run_group_kernel`.
   Sets are partitioned at the slice-*group* level — the set-partition
   argument holds unchanged because every slice of a group is probed at
-  the same set index — and the per-access probe of every group slice is
-  replaced by one aggregate ``line -> slice`` residency map per
-  multi-slice group (:meth:`CacheHierarchy.group_line_index`), built by a
-  single scan, cached across epochs and maintained incrementally by the
-  kernel's own fills/evictions/back-invalidations/lazy invalidations.  A
-  per-set recency index beside it (:func:`_recency_index`) makes fill
-  placement O(1): a full group set's LRU victim is its first key.
-  Singleton groups probe their one slice directly.  The tier tag names
+  the same set index.  During the epoch each multi-slice group's sets live
+  in the kernel's own maps (:func:`_group_maps`): a ``line -> Entry``
+  index replaces the probe of every group slice, a per-set recency index
+  (``Entry -> slice``, ascending stamp) orders hits and yields a full
+  group set's LRU victim as its first key, and occupancy counts answer the
+  room scan.  They are built by one scan, cached across epochs, and the
+  member slices' buckets are rewritten from them once at epoch end.
+  Singleton groups probe their one slice directly.  When no line has two
+  owners (:func:`_private_lines`, the per-core kernel's check), the
+  kernel runs in private-lines mode: no L1-directory upkeep or coherence
+  checks per access, owner-only back-invalidation, one directory rebuild
+  at the end.  The tier tag names
   the topology only: ``batch-private`` when all-private, ``batch-shared``
   for one L2 group spanning the machine, ``batch-merged`` otherwise.
 - **general** — anything else (PLRU, order-sensitive observers,
@@ -162,15 +166,17 @@ def run_epoch_batch(system, traces: Dict[int, object],
     if (_observer_order_free(hier)
             and hier.config.replacement == "lru"
             and _timing_exact(hier, timers, active, gap_sums, n_accesses)):
-        if (hier.all_private_fast
-                and _percore_applicable(hier, traces, active, n_accesses)):
+        private = _private_lines(hier, traces, active, n_accesses)
+        if private and hier.all_private_fast:
             _run_private_percore(hier, timers, traces, active, n_accesses,
                                  gap_sums)
-            _mark_percore_clean(hier)
+            _mark_owners_clean(hier)
             return _record_tier(PRIVATE_PERCORE)
         lines, writes = _interleave(traces, active, n_accesses)
         _run_group_kernel(hier, timers, active, n_accesses,
-                          lines, writes, gap_sums)
+                          lines, writes, gap_sums, private)
+        if private:
+            _mark_owners_clean(hier)
         # The tag names the topology, not a separate kernel: all-private
         # (singleton groups everywhere, shared lines present), fully shared
         # (one L2 group spanning the machine, the paper's "(cores:1:1)"),
@@ -302,20 +308,27 @@ def _flush_hits(hier: CacheHierarchy, hits) -> None:
 #
 # Sharedness is *verified*, not assumed: a full scan of the resident state
 # builds a line -> owner map (cached on the hierarchy, invalidated whenever
-# the stamp, groups or fault sets changed outside this kernel), and each
-# epoch's trace lines are checked against it.  Any conflict — two owners
-# for a line, a multi-holder directory entry, a trace touching a foreign
-# line, a multi-slice L3 cover under faults — falls back to the slice-group
-# kernel, which handles sharing exactly.
+# the stamp, groups or fault sets changed outside the kernels), and each
+# epoch's trace lines are checked against it (:func:`_private_lines`).  A
+# core whose whole epoch lies in one address slot no other core has touched
+# claims the slot instead of recording its lines; another core's new line
+# in a claimed slot then counts as shared.  A map that outgrows the cache's
+# capacity is rescanned, so its size is bounded by the cache, not by the
+# length of the run.  The
+# check runs for every LRU epoch, whatever the topology: it also puts the
+# slice-group kernel in private-lines mode.  Any conflict — two owners for
+# a line, a multi-holder directory entry, a trace touching a foreign line —
+# sends the epoch to the slice-group kernel's shared path, which handles
+# sharing exactly.
 
-_PERCORE_ATTR = "_batch_percore_state"
+_OWNERS_ATTR = "_batch_owner_state"
 
 
 def _state_marker(hier: CacheHierarchy) -> tuple:
     """Fingerprint of everything that can move cache state outside a kernel.
 
-    Both the per-core owner map and the slice-group residency maps are
-    cached under it.  The stamp advances on every access (any engine), and
+    Both the owner map and the slice-group kernel's maps are cached under
+    it.  The stamp advances on every access (any engine), and
     group/fault changes cover reconfiguration repair, which mutates state
     without consuming stamps.  Repair only *removes* entries, so a stale
     owner map can never hide new sharing — at worst it fails a check
@@ -329,10 +342,11 @@ def _state_marker(hier: CacheHierarchy) -> tuple:
 
 #: Granularity of the slot-level ownership fast path, in line-address bits.
 #: Synthetic workloads place each thread's private region in its own
-#: ``1 << 40``-aligned stride (and shared regions far above), so after the
-#: first epoch a core's whole trace usually falls inside one slot it already
-#: owns outright — an O(1) min/max check instead of a per-line scan.  The
-#: constant is a heuristic only; correctness never depends on alignment.
+#: ``1 << 40``-aligned stride (and shared regions far above), so a core's
+#: whole trace usually falls inside one slot that no other core has touched
+#: — an O(1) min/max check instead of a per-line scan, which *claims* the
+#: slot for that core.  The constant is a heuristic only; correctness never
+#: depends on alignment.
 _SLOT_BITS = 40
 
 
@@ -367,60 +381,92 @@ def _scan_owners(hier: CacheHierarchy) -> Optional[Tuple[Dict[int, int],
     return owners, slots
 
 
-def _percore_applicable(hier: CacheHierarchy, traces, active: List[int],
-                        n_accesses: int) -> bool:
-    """Whether this epoch can run core-by-core, committing trace ownership.
+def _private_lines(hier: CacheHierarchy, traces, active: List[int],
+                   n_accesses: int) -> bool:
+    """Whether no line of the cache or the epoch has two owners,
+    committing trace ownership.
 
-    On success the epoch's new lines are recorded in the cached owner map
-    (the kernel preserves the no-sharing invariant, so the cache stays
-    valid).  On failure nothing is recorded as clean — the next epoch
-    rescans.
+    A property of the input, checked for every LRU epoch.  Under an
+    all-private topology it admits the per-core kernel; under any other
+    it puts the slice-group kernel in private-lines mode (no L1-directory
+    upkeep, owner-only back-invalidation).  On success the epoch's new
+    lines are recorded in the cached owner map or covered by a claimed
+    slot (both kernels preserve the no-sharing invariant, so the cache
+    stays valid once marked clean by :func:`_mark_owners_clean`).  On
+    failure nothing is recorded as clean — the next epoch rescans.
     """
-    if any(len(cover) != 1 for cover in hier._l3_group_of):
-        return False
-    # Singleton L2 groups give the kernel strict per-slice inclusion
-    # (L1 ⊆ own L2 slice ⊆ own L3 slice), which it exploits to skip
-    # back-invalidation probes; fault-merged groups use the partition
-    # kernel instead.
-    if any(len(group) != 1 for group in hier._l2_group_of):
-        return False
-    state = getattr(hier, _PERCORE_ATTR, None)
+    state = getattr(hier, _OWNERS_ATTR, None)
     if state is None or state["marker"] != _state_marker(hier):
-        state = {"marker": None, "maps": _scan_owners(hier)}
-        setattr(hier, _PERCORE_ATTR, state)
+        state = {"marker": None, "maps": _scan_owners(hier),
+                 "claimed": set()}
+        setattr(hier, _OWNERS_ATTR, state)
     maps = state["maps"]
     if maps is None:
         return False
     owners, slots = maps
+    claimed = state["claimed"]
     get = owners.get
-    slot_get = slots.get
     for core in active:
         arr = traces[core].lines[:n_accesses]
         lo = int(arr.min())
         hi = int(arr.max())
         slot = lo >> _SLOT_BITS
-        if hi >> _SLOT_BITS == slot and slot_get(slot) == core:
-            # Every line of the epoch falls in a slot whose recorded lines
-            # all belong to this core already — nothing new to commit.
+        if hi >> _SLOT_BITS == slot and slots.setdefault(slot, core) == core:
+            # Every line of the epoch falls in one slot that is untouched
+            # or whose recorded lines all belong to this core.  The core
+            # claims it, and its lines go unrecorded: from now on another
+            # core's new line in it may be one of them, so counts as shared.
+            claimed.add(slot)
             continue
         for line in set(arr.tolist()):
             owner = get(line)
             if owner is None:
-                owners[line] = core
                 line_slot = line >> _SLOT_BITS
                 if slots.setdefault(line_slot, core) != core:
+                    if line_slot in claimed:
+                        return False
                     slots[line_slot] = -1
+                owners[line] = core
             elif owner != core:
                 # Shared line (or a stale claim on a long-dead one):
-                # conservative fallback; the slice-group kernel is exact.
+                # conservative; the kernels' shared paths are exact.
                 return False
     return True
 
 
-def _mark_percore_clean(hier: CacheHierarchy) -> None:
-    """Record that the cached owner map matches the post-epoch state."""
-    state = getattr(hier, _PERCORE_ATTR)
-    state["marker"] = _state_marker(hier)
+def _mark_owners_clean(hier: CacheHierarchy) -> None:
+    """Record that the cached owner map matches the post-epoch state.
+
+    Unless the map has outgrown the cache's capacity in lines: it keeps
+    every recorded line, resident or not, so the next epoch rescans
+    instead, which keeps only the resident ones.
+    """
+    state = getattr(hier, _OWNERS_ATTR)
+    capacity = sum(slice_.sets * slice_.ways
+                   for slices in (hier.l1s, hier.l2s, hier.l3s)
+                   for slice_ in slices)
+    state["marker"] = (_state_marker(hier)
+                       if len(state["maps"][0]) <= capacity else None)
+
+
+def _l1_lines(sets) -> set:
+    """The lines an L1's per-set buckets hold."""
+    return {line for bucket in sets for line in bucket}
+
+
+def _fix_directory(directory: Dict[int, set], core: int, before: set,
+                   after: set) -> None:
+    """Bring the L1 directory up to date with one core's L1, when every
+    line it holds has that core as its only holder.
+
+    Entries whose lines left the L1 disappear, lines that joined get fresh
+    ``{core}`` singletons, survivors keep their (value-identical) sets —
+    exactly the event engine's final directory for this core.
+    """
+    for line in before - after:
+        del directory[line]
+    for line in after - before:
+        directory[line] = {core}
 
 
 def _run_private_percore(hier: CacheHierarchy, timers, traces,
@@ -476,7 +522,7 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
         l3x = hier.l3s[core]._index
         # Directory reconstruction (see docstring): remember what is in
         # this L1 now, fix the directory up after the loop.
-        old_resident = {ln for bucket in l1x for ln in bucket}
+        old_resident = _l1_lines(l1x)
         # Insertion counts need no loop counters: every L3/mem resolution
         # fills L2 (ins2 == cl3 + cmem) and every mem resolution fills L3
         # (ins3 == cmem).
@@ -582,15 +628,7 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
             else:
                 bucket1[line] = new_entry(line, core, write, stamp)
 
-        # Directory fix-up: entries whose lines left this L1 disappear,
-        # lines that joined get fresh {core} singletons, survivors keep
-        # their (value-identical) sets — exactly the event engine's final
-        # directory for this core.
-        new_resident = {ln for bucket in l1x for ln in bucket}
-        for ln in old_resident - new_resident:
-            del directory[ln]
-        for ln in new_resident - old_resident:
-            directory[ln] = {core}
+        _fix_directory(directory, core, old_resident, _l1_lines(l1x))
         if notify_hit:
             epoch_hits.append((core, np.fromiter(hits2, np.int64, len(hits2)),
                                np.fromiter(hits3, np.int64, len(hits3))))
@@ -628,22 +666,33 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
 # groups, up to one fully-shared group spanning the machine — used to run on
 # the general kernel at ~event-engine speed, because each access probed every
 # slice of its group through the full Python access path.  The group kernel
-# closes that gap with one idea: a *group-level aggregate residency map*.
-# Singleton groups need no map (their one slice is probed directly), so the
-# same loop also resolves all-private epochs whose cores share lines.
+# closes that gap by keeping every multi-slice group set in *its own maps*
+# for the duration of the epoch.  Singleton groups need no maps (their one
+# slice is probed directly), so the same loop also resolves all-private
+# epochs whose cores share lines.
 #
-# Within an epoch the topology is frozen, so for each multi-slice group a
-# single scan builds ``line -> holding slice`` (with a side map for the
-# duplicate copies a merge leaves behind).  A group probe then becomes one
-# dict lookup instead of O(group size) slice probes, and every mutation the
-# kernel performs — fills, evictions, inclusion back-invalidations, lazy
-# invalidations — updates the map incrementally, so it stays exact.  Fills
-# get the same treatment from a per-set recency index (entries in stamp
-# order, see :func:`_recency_index`): the group-wide LRU victim is its
-# first key, where the event path scans every slice of the group.  The
-# maps are cached on the hierarchy across epochs under the same fingerprint
-# the per-core kernel uses (stamp + groups + fault sets): steady-state
-# epochs pay no scan at all.
+# Within an epoch the topology is frozen, so for each multi-slice group one
+# scan builds three structures (:func:`_group_maps`): an index
+# ``line -> Entry`` (a duplicated line, left behind by a merge, maps to the
+# ``_DUP`` sentinel and its ``dups`` entry maps ``slice -> Entry``), a
+# per-set *recency index* ``Entry -> slice`` in ascending stamp order, and
+# per-slice occupancy counts per set.  A group probe is one index lookup, a
+# hit moves one key of the recency index to its end, a fill into a full
+# group set recycles the recency index's first key (the group-wide LRU
+# victim), and a room scan reads the counts.  The member slices' buckets
+# are not touched during the epoch; at its end each is rewritten from the
+# recency index, in ascending stamp order, so every other reader (the
+# event path, ``CacheSlice``, the per-core kernel) again finds its LRU
+# victim at the bucket's head.  The maps are cached on the hierarchy across
+# epochs under the same fingerprint the owner map uses (stamp + groups +
+# fault sets): steady-state epochs pay no scan at all.
+#
+# When no line has two owners (:func:`_private_lines`: every multiprogrammed
+# mix), the L1 directory only ever holds ``{owner}`` singletons and no
+# coherence check can fire.  The kernel then runs in *private-lines mode*:
+# it keeps no directory during the epoch, back-invalidates only the L1 of
+# the victim's owner, and rebuilds the directory once at the end, as the
+# per-core kernel does.
 #
 # Bit-identity rests on the set-partition argument (module docstring),
 # *lifted to slice groups* (DESIGN.md §7): all slices of a group are
@@ -658,18 +707,21 @@ def _run_private_percore(hier: CacheHierarchy, timers, traces,
 
 _GROUP_ATTR = "_batch_group_state"
 
+#: What a multi-slice group's index maps a duplicated line to; the copies
+#: are in the group's ``dups`` map.
+_DUP = Entry(-1, -1, False, -1)
+
 
 def _group_state(hier: CacheHierarchy) -> dict:
-    """Cached residency maps and recency indexes for every multi-slice group.
+    """Cached kernel maps for every multi-slice group.
 
-    ``state["maps"][(level, group)]`` is ``(index, dups, recency)``: the
-    aggregate residency maps of :meth:`CacheHierarchy.group_line_index`
-    plus the group's per-set *recency index* (:func:`_recency_index`).
-    Rebuilt (one scan of the resident state) whenever the fingerprint shows
-    state moved outside this kernel: any access through any engine advances
-    the stamp, and reconfiguration/fault repair changes the group tuples or
-    disabled sets.  Mutating slice contents behind the hierarchy's back
-    (directly calling ``CacheSlice.flush`` etc.) is outside the contract.
+    ``state["maps"][(level, group)]`` is ``(index, dups, recency, counts)``
+    as built by :func:`_group_maps`.  Rebuilt (one scan of the resident
+    state) whenever the fingerprint shows state moved outside this kernel:
+    any access through any engine advances the stamp, and
+    reconfiguration/fault repair changes the group tuples or disabled sets.
+    Mutating slice contents behind the hierarchy's back (directly calling
+    ``CacheSlice.flush`` etc.) is outside the contract.
     """
     state = getattr(hier, _GROUP_ATTR, None)
     if state is None or state["marker"] != _state_marker(hier):
@@ -678,86 +730,119 @@ def _group_state(hier: CacheHierarchy) -> dict:
                                       (L3, hier._l3_groups, hier.l3s)):
             for group in groups:
                 if len(group) > 1:
-                    index, dups = hier.group_line_index(level, group)
-                    maps[(level, group)] = (index, dups,
-                                            _recency_index(slices, group))
+                    maps[(level, group)] = _group_maps(slices, group)
         state = {"marker": None, "maps": maps}
         setattr(hier, _GROUP_ATTR, state)
     return state
 
 
-def _recency_index(slices, group: Tuple[int, ...]) -> List[Dict[Entry, int]]:
-    """Per-set ``Entry -> slice_id`` dicts over a group, ascending stamp.
+def _group_maps(slices, group: Tuple[int, ...]) -> tuple:
+    """``(index, dups, recency, counts)`` of one multi-slice group.
 
-    Set ``i``'s dict holds every entry the group's slices keep in set ``i``
-    (``Entry`` hashes by identity), oldest first — so its first key is the
-    group-wide LRU entry, the victim ``_fill_group`` picks as the
-    minimum-stamp slice head.  The kernel keeps the order by re-inserting
-    at the end whatever it stamps: stamps are unique and, within one set,
-    the kernel processes accesses in stamp order.
+    - ``index``: resident ``line -> Entry``, or ``line -> _DUP`` when
+      several slices hold copies; ``dups[line]`` then maps
+      ``slice -> Entry`` for each copy.
+    - ``recency[set]``: ``Entry -> slice`` over every entry the group's
+      slices keep in that set (``Entry`` hashes by identity), oldest
+      first — so its first key is the group-wide LRU entry, the victim
+      ``_fill_group`` picks as the minimum-stamp slice head.  The kernel
+      keeps the order by re-inserting at the end whatever it stamps:
+      stamps are unique and, within one set, the kernel processes
+      accesses in stamp order.
+    - ``counts[slice][set]``: entries the slice holds in that set.
     """
     buckets = [(slice_id, slices[slice_id].set_buckets())
                for slice_id in group]
+    counts = {slice_id: [len(bucket) for bucket in sets]
+              for slice_id, sets in buckets}
+    index: Dict[int, Entry] = {}
+    dups: Dict[int, Dict[int, Entry]] = {}
     recency = []
     for set_index in range(len(buckets[0][1])):
         held = [(entry, slice_id) for slice_id, sets in buckets
                 for entry in sets[set_index].values()]
         held.sort(key=lambda it: it[0].stamp)
-        recency.append(dict(held))
-    return recency
+        rec = dict(held)
+        recency.append(rec)
+        for entry, slice_id in held:
+            line = entry.line
+            prev = index.setdefault(line, entry)
+            if prev is _DUP:
+                dups[line][slice_id] = entry
+            elif prev is not entry:
+                dups[line] = {rec[prev]: prev, slice_id: entry}
+                index[line] = _DUP
+    return index, dups, recency, counts
+
+
+def _rewrite_buckets(slices, group: Tuple[int, ...],
+                     recency: List[Dict[Entry, int]]) -> None:
+    """Rewrite a group's member buckets from its recency index.
+
+    The kernel leaves the buckets alone during the epoch; this puts every
+    entry back into its slice's set in ascending stamp order, the recency
+    order whose head ``CacheSlice`` and the kernels take as the LRU victim.
+    """
+    member_sets = {slice_id: slices[slice_id].set_buckets()
+                   for slice_id in group}
+    for set_index, rec in enumerate(recency):
+        for sets in member_sets.values():
+            sets[set_index].clear()
+        for entry, slice_id in rec.items():
+            member_sets[slice_id][set_index][entry.line] = entry
 
 
 def _mark_group_clean(hier: CacheHierarchy) -> None:
-    """Record that the cached residency maps match the post-epoch state."""
+    """Record that the cached kernel maps match the post-epoch state."""
     getattr(hier, _GROUP_ATTR)["marker"] = _state_marker(hier)
 
 
-def _group_index_remove(index: Dict[int, int], dups: Dict[int, set],
-                        line: int, slice_id: int) -> None:
-    """Drop one slice's copy of ``line`` from a group residency map.
-
-    A duplicated line whose holder count falls to one collapses back into
-    the plain index (its ``dups`` entry disappears), so the maps stay
-    canonical: ``dups`` holds exactly the lines marked ``-1`` in ``index``.
-    """
-    prev = index.get(line)
-    if prev == slice_id:
-        del index[line]
-    elif prev == -1:
-        holders = dups[line]
-        holders.discard(slice_id)
-        if len(holders) == 1:
-            index[line] = holders.pop()
-            del dups[line]
-
-
-def _lazy_invalidate(sets, set_index: int, line: int,
-                     index: Dict[int, int], dups: Dict[int, set],
-                     rec: Dict[Entry, int], lazy: List[int]) -> int:
+def _lazy_invalidate(line: int, set_index: int, index: Dict[int, Entry],
+                     dups: Dict[int, Dict[int, Entry]],
+                     rec: Dict[Entry, int], occupancy: List[List[int]],
+                     lazy: List[int]) -> Entry:
     """Replay lazy invalidation of a line a merge left duplicated in a group.
 
     The freshest copy wins (stamps are unique, so max-by-stamp is
-    order-free), the others leave their slices and the set's recency
-    index, their dirtiness folds into the winner and each counts one lazy
-    invalidation on its slice.  Returns the winning slice, now the line's
-    sole holder in the residency map.
+    order-free), the others leave the set's recency index and occupancy
+    counts, their dirtiness folds into the winner and each counts one lazy
+    invalidation on its slice.  Returns the winning entry, now the line's
+    sole copy in the index.
     """
-    copies = sorted(((sets[ds][set_index][line], ds) for ds in dups.pop(line)),
-                    key=lambda it: it[0].stamp, reverse=True)
-    keep, winner = copies[0]
-    for dup, ds in copies[1:]:
-        del sets[ds][set_index][line]
+    copies = sorted(dups.pop(line).items(), key=lambda it: it[1].stamp,
+                    reverse=True)
+    keep = copies[0][1]
+    for ds, dup in copies[1:]:
         del rec[dup]
+        occupancy[ds][set_index] -= 1
         lazy[ds] += 1
         if dup.dirty:
             keep.dirty = True
-    index[line] = winner
-    return winner
+    index[line] = keep
+    return keep
+
+
+def _drop_duplicate(index: Dict[int, Entry],
+                    dups: Dict[int, Dict[int, Entry]], line: int,
+                    slice_id: int) -> None:
+    """Put back a duplicated line's index entry after dropping the copy in
+    ``slice_id``.
+
+    A line left with one copy collapses back into the plain index, so
+    ``dups`` holds exactly the lines the index marks ``_DUP``.
+    """
+    copies = dups[line]
+    del copies[slice_id]
+    if len(copies) == 1:
+        (index[line],) = copies.values()
+        del dups[line]
+    else:
+        index[line] = _DUP
 
 
 def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                       n_accesses: int, lines: np.ndarray, writes: np.ndarray,
-                      gap_sums: Dict[int, int]) -> None:
+                      gap_sums: Dict[int, int], private: bool) -> None:
     """Set-partitioned resolution of any LRU epoch (merged, shared, or
     all-private with shared lines).
 
@@ -766,23 +851,33 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     chunk by chunk (:func:`_stream`): an L1 hit ends the access; otherwise
     the L2 group probe, then on a miss the L3 group probe or memory plus
     the L3 fill, then the L2 fill, and the L1 fill as the shared tail.
-    Group probes resolve through the aggregate residency maps (one dict
-    lookup instead of probing every slice; singleton groups probe their
-    one slice), hits replay ``touch`` on the winning slice, duplicate
-    copies replay lazy invalidation (:func:`_lazy_invalidate`), fills replay
-    ``_fill_group`` placement (local slice if its set has room, else first
-    slice in search order with room, else the group-wide LRU victim — read
-    in O(1) as the first key of the group's per-set recency index, see
-    :func:`_recency_index`) with ``_back_invalidate`` inlined, and the L1
-    fill replays ``_fill_l1``, including its first-in-search-order dirty
-    write-back.  Hits are counted per ``(core, serving slice)`` and misses
-    per core; stats and timing are priced from those counts once at the
-    end (one exact reduction per core — the dispatch gate verified
+
+    A multi-slice group resolves through the kernel's own maps
+    (:func:`_group_maps`): a probe is one index lookup, a hit moves the
+    entry to the end of the set's recency index, duplicate copies replay
+    lazy invalidation (:func:`_lazy_invalidate`), and a fill replays
+    ``_fill_group`` placement — local slice if its set has room, else the
+    first slice in search order with room (read from the occupancy
+    counts), else the group-wide LRU victim, the recency index's first
+    key — with ``_back_invalidate`` inlined.  Singleton groups probe and
+    fill their one slice's bucket directly.  The L1 fill replays
+    ``_fill_l1``, including its first-in-search-order dirty write-back.
+    At the end each multi-slice group's member buckets are rewritten from
+    its recency index (:func:`_rewrite_buckets`).
+
+    ``private`` (:func:`_private_lines`: no line has two owners) drops the
+    L1 directory from the loop: no coherence check can fire, a victim's
+    only L1 copy is in its owner's L1, and the directory is rebuilt once
+    at the end.
+
+    Hits are counted per ``(core, serving slice)`` and memory accesses
+    per core; misses, stats and timing are derived from those counts once
+    at the end (one exact reduction per core — the dispatch gate verified
     exactness against the worst-case latency bound), so only coherence
-    adders accumulate latency per access.  Observer ``on_fill``/``on_evict``
-    are elided — no-ops under :func:`_observer_order_free` — and every hit
-    the event path would report to ``on_hit`` is buffered per core and
-    flushed at the end (:func:`_flush_hits`).
+    adders accumulate latency per access.  Observer ``on_fill``/
+    ``on_evict`` are elided — no-ops under :func:`_observer_order_free` —
+    and every hit the event path would report to ``on_hit`` is buffered
+    per core and flushed at the end (:func:`_flush_hits`).
     """
     state = _group_state(hier)
     maps = state["maps"]
@@ -816,28 +911,42 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     ord2 = hier._l2_binding.orders
     ord3 = hier._l3_binding.orders
     grp3 = hier._l3_group_of
-    # Per-core group views: the residency maps for multi-slice groups, or
-    # the single probe target for singleton groups (-1 when the core's only
-    # slice is fault-disabled, i.e. its search order is empty).
-    gi2 = [maps.get((L2, g)) for g in hier._l2_group_of]
-    gi3 = [maps.get((L3, g)) for g in grp3]
+    # Per-core group views: (index, dups, recency) for multi-slice groups,
+    # or the single probe target for singleton groups (-1 when the core's
+    # only slice is fault-disabled, i.e. its search order is empty).
+    views = {key: group_maps[:3] for key, group_maps in maps.items()}
+    gi2 = [views.get((L2, g)) for g in hier._l2_group_of]
+    gi3 = [views.get((L3, g)) for g in grp3]
     d2 = [ord2[c][0] if (gi2[c] is None and ord2[c]) else -1
           for c in range(n_cores)]
     d3 = [ord3[c][0] if (gi3[c] is None and ord3[c]) else -1
           for c in range(n_cores)]
+    # Per-slice occupancy counts of multi-slice group members, by set.
+    occ2: List[Optional[List[int]]] = [None] * n_cores
+    occ3: List[Optional[List[int]]] = [None] * n_cores
+    for (level, _), group_maps in maps.items():
+        occ = occ2 if level == L2 else occ3
+        for slice_id, counts in group_maps[3].items():
+            occ[slice_id] = counts
     # Entries a core's group set holds when every live slice's set is full.
     full2 = [len(o) * w2 for o in ord2]
     full3 = [len(o) * w3 for o in ord3]
     # The L2 groups each L3 group covers (L2 groups refine L3 groups): a
-    # singleton as (slice, None), a multi-slice group as (-1, its maps), so
-    # an L3 eviction's back-invalidation asks one residency map where the
-    # victim's L2 copies are instead of probing every covered slice.
+    # singleton as (slice, None), a multi-slice group as (-1, its view), so
+    # an L3 eviction's back-invalidation asks one index where the victim's
+    # L2 copies are instead of probing every covered slice.
     covers = {}
     for group in hier._l3_groups:
         members = set(group)
-        covers[group] = [(g[0], None) if len(g) == 1 else (-1, maps[(L2, g)])
+        covers[group] = [(g[0], None) if len(g) == 1 else (-1, views[(L2, g)])
                          for g in hier._l2_groups if g[0] in members]
     cover2 = [covers[g] for g in grp3]
+    # Each core's own L2 group in the same form (empty when fault-disabled):
+    # where an L3 victim's L2 copies can be when its owner is its only
+    # referencer, since repair keeps every L2 entry inside its owner's group.
+    own2 = [((d2[c], None),) if d2[c] >= 0
+            else ((-1, gi2[c]),) if gi2[c] is not None else ()
+            for c in range(n_cores)]
 
     lat = config.latency
     lat_l1 = lat.l1_hit
@@ -861,17 +970,15 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
     lat3 = _hit_latencies(lat.l3_local_hit, lat.l3_merged_hit)
 
     # h2[core][slice]: L2 hits served by ``slice`` for ``core`` (likewise
-    # h3) — the per-slice hit stats, the local/remote split and the hit
-    # latencies are all priced from these at the flush.
+    # h3) — the per-slice hit stats, the local/remote split, the misses
+    # and the hit latencies are all priced from these at the flush.
     h2 = [[0] * n_cores for _ in range(n_cores)]
     h3 = [[0] * n_cores for _ in range(n_cores)]
     c_l1 = [0] * n_cores
     c_mem = [0] * n_cores
-    miss2 = [0] * n_cores
     ins2 = [0] * n_cores
     evi2 = [0] * n_cores
     lazy2 = [0] * n_cores
-    miss3 = [0] * n_cores
     ins3 = [0] * n_cores
     evi3 = [0] * n_cores
     lazy3 = [0] * n_cores
@@ -882,12 +989,18 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
         ml[core] = timers[core].memory_latency
 
     directory = hier._l1_directory
+    shared = not private
+    if private:
+        # Directory rebuild (see docstring): remember what every L1 holds
+        # now, fix the directory up after the loop.
+        l1_before = [_l1_lines(sets) for sets in l1_idx]
     notify_hit = hier._notify_hit
     # Per-core L2/L3 hit lines, flushed into the ACFVs at kernel end.
     hits2 = [set() for _ in range(n_cores)]
     hits3 = [set() for _ in range(n_cores)]
     inval_others = hier._invalidate_other_l1s
     new_entry = Entry
+    dup = _DUP
 
     def coherence(core: int, line: int, latency: int) -> None:
         # _invalidate_other_l1s on top of an access of ``latency`` cycles:
@@ -911,16 +1024,16 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             c_l1[core] += 1
             if write:
                 entry.dirty = True
-                holders = directory.get(line)
-                if holders is not None and len(holders) > 1:
-                    coherence(core, line, lat_l1)
+                if shared:
+                    holders = directory.get(line)
+                    if holders is not None and len(holders) > 1:
+                        coherence(core, line, lat_l1)
             continue
 
-        # L2 group probe through the aggregate residency map (singleton
-        # groups probe their one slice directly).
+        # L2 group probe: the group's index (singleton groups probe their
+        # one slice directly).
         set2 = line & m2
         g2 = gi2[core]
-        entry = None
         if g2 is None:
             s = d2[core]
             if s >= 0:
@@ -931,18 +1044,14 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                     bucket2[line] = entry
         else:
             index2, dups2, recency2 = g2
-            s = index2.get(line, -2)
-            if s != -2:
+            entry = index2.get(line)
+            if entry is not None:
                 rec = recency2[set2]
-                if s == -1:
-                    s = _lazy_invalidate(l2_idx, set2, line, index2, dups2,
-                                         rec, lazy2)
-                # touch(): move to the recency tail of the slice and of
-                # the group's recency index.
-                bucket2 = l2_idx[s][set2]
-                entry = bucket2.pop(line)
-                bucket2[line] = entry
-                del rec[entry]
+                if entry is dup:
+                    entry = _lazy_invalidate(line, set2, index2, dups2, rec,
+                                             occ2, lazy2)
+                # touch(): move to the end of the recency index.
+                s = rec.pop(entry)
                 rec[entry] = s
         if entry is not None:
             entry.stamp = stamp
@@ -951,8 +1060,6 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             if notify_hit:
                 hits2[core].add(line)
         else:
-            miss2[core] += 1
-
             # L3 group probe.
             set3 = line & m3
             g3 = gi3[core]
@@ -966,16 +1073,13 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                         b[line] = entry
             else:
                 index3, dups3, recency3 = g3
-                s = index3.get(line, -2)
-                if s != -2:
+                entry = index3.get(line)
+                if entry is not None:
                     rec = recency3[set3]
-                    if s == -1:
-                        s = _lazy_invalidate(l3_idx, set3, line, index3,
-                                             dups3, rec, lazy3)
-                    b = l3_idx[s][set3]
-                    entry = b.pop(line)
-                    b[line] = entry
-                    del rec[entry]
+                    if entry is dup:
+                        entry = _lazy_invalidate(line, set3, index3, dups3,
+                                                 rec, occ3, lazy3)
+                    s = rec.pop(entry)
                     rec[entry] = s
             if entry is not None:
                 entry.stamp = stamp
@@ -987,91 +1091,108 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                 # Main memory.  Fills cascade only while the parent level
                 # succeeded (a fully-offline group skips the lower levels
                 # too — inclusion).
-                miss3[core] += 1
                 c_mem[core] += 1
                 win = -1
                 o = ord3[core]
                 if not o:
-                    if write:
+                    if write and shared:
                         coherence(core, line, lat_mem)
                     continue
-                # Fill L3: _fill_group placement with insert inlined and the
-                # residency map and recency index maintained (a singleton
-                # group's bucket is the one its probe just missed in).
-                if g3 is not None:
+                # Fill L3: _fill_group placement with insert inlined (a
+                # singleton group's bucket is the one its probe just
+                # missed in).
+                victim = None
+                if g3 is None:
+                    target = o[0]
+                    if len(b) >= w3:
+                        for v_line in b:
+                            break
+                        victim = b.pop(v_line)
+                        b[line] = victim
+                    else:
+                        b[line] = new_entry(line, core, write, stamp)
+                else:
                     rec = recency3[set3]
                     if len(rec) == full3[core]:
                         # Group set full: the recency index's first key is
                         # the group-wide LRU victim, so skip the room scan.
                         for victim in rec:
                             break
-                        target = rec[victim]
+                        target = rec.pop(victim)
+                        v_line = victim.line
+                        if index3.pop(v_line) is dup:
+                            _drop_duplicate(index3, dups3, v_line, target)
+                        index3[line] = victim
+                        rec[victim] = target
                     else:
                         # Some live slice has room, so this scan always
                         # succeeds.
                         for target in o:
-                            if len(l3_idx[target][set3]) < w3:
+                            if occ3[target][set3] < w3:
                                 break
-                    b = l3_idx[target][set3]
-                else:
-                    target = o[0]
+                        occ3[target][set3] += 1
+                        entry = new_entry(line, core, write, stamp)
+                        index3[line] = entry
+                        rec[entry] = target
                 ins3[target] += 1
-                if len(b) >= w3:
-                    for v_line in b:
-                        break
-                    victim = b.pop(v_line)
+                if victim is not None:
+                    v_owner = victim.owner
                     victim.line = line
                     victim.owner = core
                     victim.dirty = write
                     victim.stamp = victim.filled = stamp
-                    b[line] = victim
                     evi3[target] += 1
-                    if g3 is not None:
-                        _group_index_remove(index3, dups3, v_line, target)
-                        index3[line] = target
-                        del rec[victim]
-                        rec[victim] = target
                     # _back_invalidate at L3 additionally sweeps the covered
-                    # L2 slices (same subset index bits, same partition).
+                    # L2 slices (same subset index bits, same partition) —
+                    # in private-lines mode only the owner's L2 group, the
+                    # one place its sole referencer can have put a copy.
                     v_set2 = v_line & m2
-                    for cov, gcov in cover2[target]:
+                    for cov, gcov in (cover2[target] if shared
+                                      else own2[v_owner]):
                         if gcov is None:
                             if l2_idx[cov][v_set2].pop(v_line, None) \
                                     is not None:
                                 evi2[cov] += 1
                             continue
                         index, dups, recency = gcov
-                        held = index.pop(v_line, -2)
-                        if held == -2:
+                        held = index.pop(v_line, None)
+                        if held is None:
                             continue
                         rec = recency[v_set2]
-                        for cov in (dups.pop(v_line) if held == -1
-                                    else (held,)):
-                            del rec[l2_idx[cov][v_set2].pop(v_line)]
+                        for cov, held in (dups.pop(v_line).items()
+                                          if held is dup
+                                          else ((rec[held], held),)):
+                            del rec[held]
+                            occ2[cov][v_set2] -= 1
                             evi2[cov] += 1
-                    holders = directory.get(v_line)
-                    if holders:
-                        v_set1 = v_line & m1
-                        for hc in holders:
-                            l1_idx[hc][v_set1].pop(v_line, None)
-                        del directory[v_line]
-                else:
-                    entry = new_entry(line, core, write, stamp)
-                    b[line] = entry
-                    if g3 is not None:
-                        index3[line] = target
-                        rec[entry] = target
+                    if shared:
+                        holders = directory.get(v_line)
+                        if holders:
+                            v_set1 = v_line & m1
+                            for hc in holders:
+                                l1_idx[hc][v_set1].pop(v_line, None)
+                            del directory[v_line]
+                    else:
+                        l1_idx[v_owner][v_line & m1].pop(v_line, None)
 
-            # Fill L2: _fill_group placement with insert inlined and the
-            # residency map and recency index maintained.
+            # Fill L2: _fill_group placement with insert inlined.
             o = ord2[core]
             if not o:
-                if write:
+                if write and shared:
                     coherence(core, line,
                               lat_mem if win < 0 else hlat[core][win])
                 continue
+            victim = None
             if g2 is None:
+                # The bucket is the one the L2 probe just missed in.
                 target = o[0]
+                if len(bucket2) >= w2:
+                    for v_line in bucket2:
+                        break
+                    victim = bucket2.pop(v_line)
+                    bucket2[line] = victim
+                else:
+                    bucket2[line] = new_entry(line, core, write, stamp)
             else:
                 rec = recency2[set2]
                 if len(rec) == full2[core]:
@@ -1079,42 +1200,39 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
                     # group-wide LRU victim, so skip the room scan.
                     for victim in rec:
                         break
-                    target = rec[victim]
+                    target = rec.pop(victim)
+                    v_line = victim.line
+                    if index2.pop(v_line) is dup:
+                        _drop_duplicate(index2, dups2, v_line, target)
+                    index2[line] = victim
+                    rec[victim] = target
                 else:
                     # Some live slice has room, so this scan always succeeds.
                     for target in o:
-                        if len(l2_idx[target][set2]) < w2:
+                        if occ2[target][set2] < w2:
                             break
-                bucket2 = l2_idx[target][set2]
+                    occ2[target][set2] += 1
+                    entry = new_entry(line, core, write, stamp)
+                    index2[line] = entry
+                    rec[entry] = target
             ins2[target] += 1
-            if len(bucket2) >= w2:
-                for v_line in bucket2:
-                    break
-                victim = bucket2.pop(v_line)
+            if victim is not None:
+                v_owner = victim.owner
                 victim.line = line
                 victim.owner = core
                 victim.dirty = write
                 victim.stamp = victim.filled = stamp
-                bucket2[line] = victim
                 evi2[target] += 1
-                if g2 is not None:
-                    _group_index_remove(index2, dups2, v_line, target)
-                    index2[line] = target
-                    del rec[victim]
-                    rec[victim] = target
                 # _back_invalidate at L2: only the L1 holders must go.
-                holders = directory.get(v_line)
-                if holders:
-                    v_set1 = v_line & m1
-                    for hc in holders:
-                        l1_idx[hc][v_set1].pop(v_line, None)
-                    del directory[v_line]
-            else:
-                entry = new_entry(line, core, write, stamp)
-                bucket2[line] = entry
-                if g2 is not None:
-                    index2[line] = target
-                    rec[entry] = target
+                if shared:
+                    holders = directory.get(v_line)
+                    if holders:
+                        v_set1 = v_line & m1
+                        for hc in holders:
+                            l1_idx[hc][v_set1].pop(v_line, None)
+                        del directory[v_line]
+                else:
+                    l1_idx[v_owner][v_line & m1].pop(v_line, None)
 
         # Fill L1 (every non-L1-hit path; _fill_l1 inlined, entry
         # recycling included).
@@ -1122,30 +1240,31 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             for v_line in bucket1:
                 break
             victim = bucket1.pop(v_line)
-            holders = directory.get(v_line)
-            if holders is not None:
-                holders.discard(core)
-                if not holders:
-                    del directory[v_line]
+            if shared:
+                holders = directory.get(v_line)
+                if holders is not None:
+                    holders.discard(core)
+                    if not holders:
+                        del directory[v_line]
             if victim.dirty:
                 # The write-back lands on the *first* copy in search order
                 # (same set, hence same partition) — not the freshest one;
                 # _fill_l1 probes in order and stops at the first hit.  A
-                # multi-slice group's residency map names the holders, so
-                # only duplicates need the search order.
+                # multi-slice group's index names the copy, so only
+                # duplicates need the search order.  (The L2 search order
+                # is not empty: this access reached the L1 fill.)
                 if g2 is None:
-                    s = d2[core]
+                    l2e = l2_idx[d2[core]][v_line & m2].get(v_line)
                 else:
-                    s = g2[0].get(v_line, -2)
-                    if s == -1:
-                        held = g2[1][v_line]
+                    l2e = g2[0].get(v_line)
+                    if l2e is dup:
+                        copies = g2[1][v_line]
                         for s in ord2[core]:
-                            if s in held:
+                            if s in copies:
+                                l2e = copies[s]
                                 break
-                if s >= 0:
-                    l2e = l2_idx[s][v_line & m2].get(v_line)
-                    if l2e is not None:
-                        l2e.dirty = True
+                if l2e is not None:
+                    l2e.dirty = True
             victim.line = line
             victim.owner = core
             victim.dirty = write
@@ -1153,21 +1272,32 @@ def _run_group_kernel(hier: CacheHierarchy, timers, active: List[int],
             bucket1[line] = victim
         else:
             bucket1[line] = new_entry(line, core, write, stamp)
-        holders = directory.get(line)
-        if holders is None:
-            directory[line] = {core}
-        else:
-            holders.add(core)
-            if write and len(holders) > 1:
-                coherence(core, line,
-                          lat_mem if win < 0 else hlat[core][win])
+        if shared:
+            holders = directory.get(line)
+            if holders is None:
+                directory[line] = {core}
+            else:
+                holders.add(core)
+                if write and len(holders) > 1:
+                    coherence(core, line,
+                              lat_mem if win < 0 else hlat[core][win])
+
+    if private:
+        for core, sets in enumerate(l1_idx):
+            _fix_directory(directory, core, l1_before[core], _l1_lines(sets))
+    for (level, group), group_maps in maps.items():
+        _rewrite_buckets(hier.l2s if level == L2 else hier.l3s, group,
+                         group_maps[2])
 
     # Flush: integer sums into the real stats, one exact reduction per timer.
+    # Every L2 miss is served by L3 or memory, and every L3 miss by memory.
     core_stats = hier.stats.cores
     l2_stats = hier._l2_slice_stats
     l3_stats = hier._l3_slice_stats
     hit2 = [sum(col) for col in zip(*h2)]
     hit3 = [sum(col) for col in zip(*h3)]
+    miss3 = c_mem
+    miss2 = [sum(h3[c]) + c_mem[c] for c in range(n_cores)]
     for c in range(n_cores):
         if hit2[c] or miss2[c]:
             l2_stats[c].add_probe_counts(hits=hit2[c], misses=miss2[c])

@@ -11,9 +11,6 @@ import pytest
 from repro.obs.metrics import (
     REGISTRY,
     CardinalityError,
-    Counter,
-    Gauge,
-    Histogram,
     MetricError,
     MetricsRegistry,
 )

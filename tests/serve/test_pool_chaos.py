@@ -18,7 +18,6 @@ import pathlib
 import signal
 import subprocess
 import sys
-import time
 
 from repro.serve.jobs import JOURNAL_FILE, JobSpec, STATUS_FILE
 from repro.serve.lease import read_lease

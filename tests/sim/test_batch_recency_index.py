@@ -1,12 +1,13 @@
 """The slice-group kernel's per-set recency index, checked directly.
 
-Every multi-slice group the batch kernel runs keeps, next to its
-``line -> slice`` residency maps, a per-set *recency index*: an
-``Entry -> slice_id`` dict of the group's resident entries in ascending
-stamp order, whose first key is the group-wide LRU victim
-``CacheHierarchy._fill_group`` would pick.  The differential suites only
-see the index through its effect on the final state; this file asserts
-the invariant itself after every batch epoch
+Every multi-slice group the batch kernel runs keeps its sets in its own
+maps during an epoch: a ``line -> Entry`` index, per-slice occupancy
+counts and a per-set *recency index*: an ``Entry -> slice_id`` dict of
+the group's resident entries in ascending stamp order, whose first key is
+the group-wide LRU victim ``CacheHierarchy._fill_group`` would pick.  At
+epoch end the member slices' buckets are rewritten from it.  The
+differential suites only see the maps through their effect on the final
+state; this file asserts the invariant itself after every batch epoch
 (:func:`assert_group_index_consistent`) and pins the victim cases that a
 wrong key order would get wrong, each against an event-engine run of the
 same epoch.
@@ -25,6 +26,7 @@ from repro.sim.batch import (
     MERGED_KERNEL,
     PRIVATE_KERNEL,
     SHARED_KERNEL,
+    _DUP,
     _state_marker,
     run_epoch_batch,
 )
@@ -43,23 +45,25 @@ def assert_group_index_consistent(hier):
     For every multi-slice group at L2 and L3 and every set: the recency
     index lists exactly the entries the group's slices hold in that set
     (by identity, under the right slice), in strictly ascending stamp
-    order; and the residency maps equal a fresh
-    :meth:`~repro.caches.hierarchy.CacheHierarchy.group_line_index`.
-    Only meaningful right after a group-kernel epoch, while the cache is
-    marked clean.
+    order; the occupancy counts equal the bucket lengths; each member
+    bucket, rewritten at epoch end, iterates in strictly ascending stamp
+    order; and the index, mapped to slice ids, equals a fresh
+    :meth:`~repro.caches.hierarchy.CacheHierarchy.group_line_index`, its
+    entries (and every duplicate copy) being the resident ``Entry``
+    objects.  Only meaningful right after a group-kernel epoch, while the
+    cache is marked clean.
     """
     state = hier._batch_group_state
     assert state["marker"] == _state_marker(hier)
     maps = state["maps"]
     for level, groups, slices in ((L2, hier._l2_groups, hier.l2s),
                                   (L3, hier._l3_groups, hier.l3s)):
+        mask = slices[0].sets - 1
         for group in groups:
             if len(group) == 1:
                 assert (level, group) not in maps
                 continue
-            index, dups, recency = maps[(level, group)]
-            assert (index, dups) == hier.group_line_index(level, group), \
-                (level, group)
+            index, dups, recency, counts = maps[(level, group)]
             for set_index, rec in enumerate(recency):
                 resident = {id(entry): slice_id
                             for slice_id in group
@@ -71,6 +75,26 @@ def assert_group_index_consistent(hier):
                 stamps = [entry.stamp for entry in rec]
                 assert all(a < b for a, b in zip(stamps, stamps[1:])), \
                     (level, group, set_index, stamps)
+                for slice_id in group:
+                    bucket = slices[slice_id].set_buckets()[set_index]
+                    assert counts[slice_id][set_index] == len(bucket), \
+                        (level, group, slice_id, set_index)
+                    stamps = [entry.stamp for entry in bucket.values()]
+                    assert all(a < b for a, b in zip(stamps, stamps[1:])), \
+                        (level, slice_id, set_index, stamps)
+            assert set(counts) == set(group)
+            by_slice = {line: -1 if entry is _DUP
+                        else recency[line & mask][entry]
+                        for line, entry in index.items()}
+            copies = {line: set(held) for line, held in dups.items()}
+            assert (by_slice, copies) \
+                == hier.group_line_index(level, group), (level, group)
+            for line, entry in index.items():
+                held = dups[line] if entry is _DUP \
+                    else {by_slice[line]: entry}
+                for slice_id, entry in held.items():
+                    assert slices[slice_id].lookup(line) is entry, \
+                        (level, line, slice_id)
 
 
 class _Trace:

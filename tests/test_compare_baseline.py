@@ -11,8 +11,6 @@ import importlib.util
 import json
 import pathlib
 
-import pytest
-
 _SPEC = importlib.util.spec_from_file_location(
     "compare_baseline",
     pathlib.Path(__file__).parent.parent / "benchmarks"

@@ -202,10 +202,10 @@ class _HttpError(Exception):
 def _kill_job_tree(process) -> None:
     """SIGKILL a process *and* every descendant it started.
 
-    A worker runs its sweep through a pool of processes it forked, so
-    killing only the worker would orphan them — and an idle pool process
-    blocks in its call-queue read forever (it holds its own write end of
-    that pipe, so EOF never comes).  The forked processes also carry a
+    A worker runs a ``jobs > 1`` sweep through a pool of processes it
+    forked, so killing only the worker would orphan them — and an idle pool
+    process blocks in its call-queue read forever (it holds its own write
+    end of that pipe, so EOF never comes).  The forked processes also carry a
     parent-death SIGKILL, but that covers only the worker's direct
     children.  Descendants are discovered via ``/proc``; the walk is racy
     by nature and every miss dies with its process group at service

@@ -123,7 +123,9 @@ class JobSpec:
     seed: int = 1
     engine: str = DEFAULT_ENGINE
     jobs: int = 1
-    """Worker processes *inside* the sweep (the supervisor's pool)."""
+    """Processes *inside* the sweep.  With 1 (or one scheme) the pool
+    worker runs the sweep in its own process; above that the supervisor
+    forks a pool of this many."""
 
     run_timeout: Optional[float] = None
     """Per-run wall-clock budget (the supervisor's hang detector)."""

@@ -34,7 +34,9 @@ Four properties carry the design:
   fence (:func:`repro.serve.lease.acquire`), heartbeats it from a daemon
   thread, and stamps the fencing token into every journal record and the
   final ``status.json``.  After ``misses`` missed heartbeats any peer may
-  claim the next fence and *adopt* the job.
+  claim the next fence and *adopt* the job.  A job whose sweep uses one
+  process (the default ``jobs=1``) runs in the worker itself; only a
+  ``jobs > 1`` job forks sweep processes.
 - **Bit-identical adoption.**  The adopter resumes from the fsync'd
   journal exactly like a service restart would
   (:func:`~repro.serve.recovery.recover_job_dir` classifies, the
@@ -409,7 +411,11 @@ def execute_claim(pool: SharedPool, job: Job, handle: LeaseHandle,
     The lease is renewed from a daemon thread every ``heartbeat`` seconds;
     every journal write carries the fencing token and re-checks the fence
     first (``journal_guard``), and the final ``status.json`` is written
-    only after a last fence check.  Outcomes:
+    only after a last fence check.  The sweep runs ``in_process``: a
+    one-process job's runs execute in this worker, so a crash or a wedge
+    in C code takes the worker down, and the service's restart cap and
+    watchdog (or, for an external worker, lease expiry) take over.
+    Outcomes:
 
     - completes (``done``/``partial``/typed failure) — fenced status
       written, lease released, the updated :class:`Job` returned;
@@ -444,7 +450,7 @@ def execute_claim(pool: SharedPool, job: Job, handle: LeaseHandle,
                                retries=spec.retries),
             journal=job_dir / JOURNAL_FILE, resume=resume,
             journal_extra={"lease": handle.token, "worker": worker_id},
-            journal_guard=handle.check)
+            journal_guard=handle.check, in_process=True)
     except SweepInterrupted:
         _stop_beat(stop, beater)
         handle.release()  # everything durable is journaled; peers may adopt

@@ -58,6 +58,15 @@ runs, record them, flush the journal and raise
 the partial report attached.  A second signal falls through to the default
 disposition for anyone who really means it.
 
+**Where attempts run.**  Attempts run in a forked
+``ProcessPoolExecutor``, ``jobs=1`` included.  ``in_process=True`` (the
+worker pool's :func:`~repro.serve.pool.execute_claim` passes it) runs them
+in the calling process instead when the sweep would use one process and
+the caller is the main thread; only the executor changes, the ladder
+above does not.  A timeout then raises out of a ``SIGALRM`` timer, and a
+crash takes the caller down: the pool's service, which restarts and
+watches its workers, supervises that.
+
 ``strict=True`` preserves the historical ``run_many`` contract: the first
 run to exhaust its attempts re-raises its original exception (the pool is
 torn down, nothing is silently dropped).  Non-strict callers get the
@@ -75,7 +84,12 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
@@ -740,15 +754,16 @@ def _bind_worker_to_parent() -> None:
         pass  # non-Linux / restricted libc: keep the old behaviour
 
 
-def _pool_internals(pool: ProcessPoolExecutor):
+def _pool_internals(pool):
     """The pool's worker processes and manager thread, read *before*
     ``shutdown`` (which drops both references).  The attributes are
-    private but stable across CPython 3.8–3.13."""
+    private but stable across CPython 3.8–3.13; an :class:`_InlineExecutor`
+    has neither, so both helpers below reduce to its no-op ``shutdown``."""
     processes = list((getattr(pool, "_processes", None) or {}).values())
     return processes, getattr(pool, "_executor_manager_thread", None)
 
 
-def _kill_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
+def _kill_pool(pool, grace: float = 5.0) -> None:
     """Forcibly replace a pool whose worker(s) hung: kill, then discard.
 
     ``shutdown`` alone would block behind the hung task forever;
@@ -765,7 +780,7 @@ def _kill_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
         manager.join(grace)
 
 
-def _retire_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
+def _retire_pool(pool, grace: float = 5.0) -> None:
     """Shut a pool down so the caller's *process exit* can never hang.
 
     ``shutdown(wait=False)`` defers the real teardown to interpreter-exit
@@ -800,6 +815,64 @@ def _retire_pool(pool: ProcessPoolExecutor, grace: float = 5.0) -> None:
         manager.join(max(deadline - time.monotonic(), 0.0))
 
 
+class _RunTimeout(BaseException):
+    """Raised by ``SIGALRM`` into an in-process attempt past its
+    ``run_timeout``.  A ``BaseException``, so a simulator-level ``except
+    Exception`` cannot swallow it."""
+
+
+def _raise_timeout(signum, frame) -> None:
+    raise _RunTimeout()
+
+
+class _InlineExecutor:
+    """Runs each attempt in the calling process, the moment it is submitted.
+
+    ``submit`` returns a finished :class:`Future`, so the supervision
+    loop's ``wait`` and outcome code serve both executors unchanged.  Only
+    ``Exception`` (and a timeout) goes into the future; ``KeyboardInterrupt``
+    and ``SystemExit`` propagate to the caller.  ``run_timeout`` arms
+    ``ITIMER_REAL`` around the attempt alone and restores the previous
+    ``SIGALRM`` handler afterwards.
+    """
+
+    def __init__(self, run_timeout: Optional[float]) -> None:
+        self._run_timeout = run_timeout
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            result = self._call(fn, args)
+        except (Exception, _RunTimeout) as exc:
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+        return future
+
+    def _call(self, fn: Callable, args: tuple):
+        if not self._run_timeout:
+            return fn(*args)
+        previous = signal.signal(signal.SIGALRM, _raise_timeout)
+        if previous is None:  # installed outside Python
+            previous = signal.SIG_DFL
+        try:
+            signal.setitimer(signal.ITIMER_REAL, self._run_timeout)
+            return fn(*args)
+        finally:
+            while True:
+                try:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                    signal.signal(signal.SIGALRM, previous)
+                    break
+                except _RunTimeout:
+                    # The alarm fired as the attempt ended and was still
+                    # pending here: the attempt's own outcome stands.
+                    continue
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass  # nothing runs between submissions
+
+
 def run_supervised(
     specs: Sequence[RunSpec],
     jobs: Optional[int] = None,
@@ -810,15 +883,17 @@ def run_supervised(
     worker: Optional[Callable[[RunSpec], RunResult]] = None,
     journal_extra: Optional[Dict[str, Any]] = None,
     journal_guard: Optional[Callable[[], None]] = None,
+    in_process: bool = False,
 ) -> SweepReport:
     """Run a sweep under the full supervision ladder.  See module docstring.
 
     Args:
         specs: the runs to perform.
-        jobs: worker processes (argument, else ``REPRO_JOBS``, else 1).
-            Unlike :func:`~repro.sim.parallel.run_many`, ``jobs=1`` still
-            uses one worker *process* — crash isolation and hang detection
-            need the process boundary.
+        jobs: worker processes (argument, else ``REPRO_JOBS``, else 1;
+            never more than ``len(specs)``).  Unlike
+            :func:`~repro.sim.parallel.run_many`, ``jobs=1`` still uses one
+            forked worker *process* — crash isolation and hang detection
+            need the process boundary — unless ``in_process`` applies.
         policy: timeouts/retries/backoff; defaults to :class:`SweepPolicy`.
         journal: JSONL journal path; completed runs are appended as they
             finish.  Without ``resume`` an existing file is overwritten.
@@ -835,6 +910,14 @@ def run_supervised(
         journal_guard: called before every durable journal write; raises
             (typically :class:`~repro.resilience.errors.LeaseLostError`)
             to reject writes from a holder whose lease was reclaimed.
+        in_process: when the effective ``jobs`` is 1 and the caller is the
+            main thread, run every attempt in this process instead of a
+            forked one.  The ladder (journal, retries, quarantine, signal
+            drain, report) is unchanged; ``run_timeout`` becomes a
+            ``SIGALRM`` timer around each attempt.  A crash or a C-level
+            wedge then takes the caller down with it, so only a caller
+            with its own supervisor sets this — the pool worker, which the
+            service watches with a restart cap and a watchdog.
 
     Returns:
         A :class:`SweepReport` with ordered results and per-run outcomes.
@@ -882,8 +965,21 @@ def run_supervised(
     # until an attempt of each settles (succeeds or is charged).
     suspects: Set[int] = set()
     inflight: Dict[Any, tuple] = {}  # future -> (index, started, deadline)
-    pool: Optional[ProcessPoolExecutor] = None
+    pool: Any = None  # ProcessPoolExecutor or _InlineExecutor, built lazily
+    inline = (in_process and jobs == 1
+              and threading.current_thread() is threading.main_thread())
     t_start = time.monotonic()
+
+    def timed_out(index: int, elapsed: float, fate: str) -> None:
+        """Charge an attempt that overran ``run_timeout``."""
+        if obs_metrics.REGISTRY.enabled:
+            obs_metrics.REGISTRY.counter(
+                "repro_sweep_timeouts_total",
+                "Runs killed for exceeding the wall-clock timeout").inc()
+        fail(index, WorkerCrashError(
+            f"run {index} ({specs[index].scheme} on "
+            f"{specs[index].workload.name}) exceeded the "
+            f"{policy.run_timeout:g}s wall-clock timeout; {fate}"), elapsed)
 
     def fail(index: int, exc: BaseException, elapsed: float) -> None:
         """Charge one failed attempt; retry with backoff or quarantine."""
@@ -953,7 +1049,9 @@ def run_supervised(
                     index = _pop_eligible(pending, release, now)
                     if index is None:
                         break
-                    if pool is None:
+                    if pool is None and inline:
+                        pool = _InlineExecutor(policy.run_timeout)
+                    elif pool is None:
                         # Always fork: workers start warm from this
                         # process, whatever the caller's default start
                         # method (a spawned child inherits
@@ -1005,6 +1103,9 @@ def run_supervised(
                     if isinstance(exc, BrokenProcessPool):
                         lost.append((index, elapsed))
                         continue
+                    if isinstance(exc, _RunTimeout):
+                        timed_out(index, elapsed, "run abandoned")
+                        continue
                     if isinstance(exc, MemoryError):
                         exc = WorkerCrashError(
                             f"worker ran out of memory on run {index} "
@@ -1054,17 +1155,8 @@ def run_supervised(
                     if pool is not None:
                         _kill_pool(pool)
                         pool = None
-                    if obs_metrics.REGISTRY.enabled:
-                        obs_metrics.REGISTRY.counter(
-                            "repro_sweep_timeouts_total",
-                            "Runs killed for exceeding the wall-clock "
-                            "timeout").inc(len(overdue))
                     for future, (index, started, deadline) in overdue:
-                        fail(index, WorkerCrashError(
-                            f"run {index} ({specs[index].scheme} on "
-                            f"{specs[index].workload.name}) exceeded the "
-                            f"{policy.run_timeout:g}s wall-clock timeout; "
-                            "worker killed"), now - started)
+                        timed_out(index, now - started, "worker killed")
                     for future, (index, started, deadline) in preempted:
                         if future.done() and future.exception() is None:
                             succeed(index, future.result(), now - started)

@@ -8,11 +8,13 @@ change.
 """
 
 import builtins
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -257,6 +259,27 @@ def test_pool_status_shape(tmp_path):
     (worker,) = status["workers"]
     assert worker["worker"] == "w0"
     assert worker["jobs_done"] == 1
+
+
+def test_worker_retains_nothing_across_in_process_jobs(tmp_path):
+    # A worker runs one-process jobs itself, so what a per-job sweep
+    # process used to take with it when it exited must not pile up in
+    # the long-lived worker instead.
+    pool = make_pool(tmp_path)
+    for seed in range(45):
+        pool.admit(make_spec(seed=seed, epochs=1))
+    assert run_worker(pool.root, "w0", max_jobs=5) == 5  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run_worker(pool.root, "w0", drain=True) == 40
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert pool.all_terminal()
+    assert retained < 256 * 1024, f"{retained} bytes retained over 40 jobs"
 
 
 # -- pool smoke: two real workers, serial-identical results ------------------

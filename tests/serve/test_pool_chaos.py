@@ -8,7 +8,7 @@ variant revives the original holder as a zombie and proves its stale
 writes are rejected (exit code 10) instead of corrupting the adopter's
 output.
 
-Slow (multi-process, real TTL waits); CI runs this as the non-gating
+Slow (multi-process, real TTL waits); CI runs this as the gating
 `pool-chaos` job.
 """
 

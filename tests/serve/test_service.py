@@ -17,6 +17,8 @@ import time
 import pytest
 
 from repro.serve.client import ServiceHTTPError
+from repro.serve.jobs import read_json_tolerant
+from repro.serve.lease import read_lease
 from repro.sim.experiment import run_scheme
 from repro.sim.supervisor import result_to_json
 from repro.sim.workload import Workload
@@ -24,10 +26,10 @@ from repro.config import preset
 from repro.resilience.errors import SweepInterrupted
 
 from tests.serve.conftest import (
+    alive,
     descendants,
     drain,
     kill_group,
-    process_table,
     start_service,
     start_service_with,
     wait_for_journal_run,
@@ -43,28 +45,38 @@ SLOW_JOB = dict(workload="MIX 01",
 #: One run far longer than any watchdog cap used below (~1 s per epoch).
 LONG_JOB = dict(workload="MIX 01", scheme="morphcache", preset="small",
                 epochs=40, seed=5, trace=False)
+#: Two such runs side by side: ``jobs=2`` forks the sweep's process pool.
+TWO_RUN_JOB = dict(workload="MIX 01", schemes=["morphcache", "(16:1:1)"],
+                   preset="small", epochs=40, seed=5, trace=False, jobs=2)
 TERMINAL = ("done", "partial", "failed")
 
 
-def wait_for_job_tree(service_pid, timeout=60.0):
-    """Pids of the pool worker running a job and the sweep process(es)
-    it forked.
+def wait_for_holder_tree(state_dir, job_id, forked=False, timeout=60.0):
+    """Pids of the pool worker holding ``job_id``'s lease, then of the
+    sweep processes it forked.
 
-    Workers are the service's children; the tree is returned once a
-    worker has forked its first sweep process.
+    The lease's owner is a worker id, and ``workers/<id>.json`` gives that
+    worker's pid (a respawned slot's file names its dead predecessor until
+    the new worker's first heartbeat, so only a live pid counts).  With
+    ``forked`` the tree is returned once the holder has forked a sweep
+    process; a default (``jobs=1``) job runs in the holder itself.
     """
+    job_dir = pathlib.Path(state_dir) / "jobs" / job_id
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        table = process_table()
-        tree = descendants(service_pid, table)
-        for worker in (pid for pid, ppid in tree.items()
-                       if ppid == service_pid):
-            sweep = descendants(worker, table)
-            if sweep:
-                return [worker, *sweep]
+        lease = read_lease(job_dir)
+        if lease is not None and not lease.released:
+            beat = read_json_tolerant(pathlib.Path(state_dir) / "workers"
+                                      / f"{lease.owner}.json")
+            holder = beat and beat.get("pid")
+            if isinstance(holder, int) and alive(holder):
+                sweep = descendants(holder)
+                if sweep or not forked:
+                    return [holder, *sweep]
         time.sleep(0.01)
-    raise AssertionError(f"no pool worker with a sweep process within "
-                         f"{timeout:g}s")
+    raise AssertionError(f"no live lease holder of {job_id} "
+                         f"{'with a sweep process ' if forked else ''}"
+                         f"within {timeout:g}s")
 
 
 @pytest.fixture(scope="module")
@@ -284,11 +296,12 @@ class TestWatchdogAndDrain:
             assert "watchdog" in status["error"]["message"]
 
             # The kill takes the job's whole tree: the pool worker *and*
-            # the sweep process it forked, which would otherwise block on
-            # its call-queue pipe forever as an orphan.
+            # the sweep processes a jobs=2 job forks, which would otherwise
+            # block on their call-queue pipe forever as orphans.
             overdue = client.submit(tenant="alice", max_seconds=3.0,
-                                    **LONG_JOB)
-            tree = wait_for_job_tree(proc.pid)
+                                    **TWO_RUN_JOB)
+            tree = wait_for_holder_tree(tmp_path, overdue["job"]["id"],
+                                        forked=True)
             status = client.wait_for_state(overdue["job"]["id"], TERMINAL,
                                            timeout=120)
             assert status["error"]["type"] == "JobTimeoutError"
@@ -337,7 +350,10 @@ class TestRestartCap:
                                           max_job_restarts=0)
         try:
             job_id = client.submit(tenant="alice", **LONG_JOB)["job"]["id"]
-            holder = wait_for_job_tree(proc.pid)[0]
+            tree = wait_for_holder_tree(tmp_path, job_id)
+            holder = tree[0]
+            # A default (jobs=1) job runs in its holder: no sweep process.
+            assert tree == [holder]
             os.kill(holder, signal.SIGKILL)
             status = client.wait_for_state(job_id, TERMINAL, timeout=60)
             assert status["state"] == "failed"
@@ -351,7 +367,7 @@ class TestRestartCap:
         try:
             job_id = client.submit(tenant="alice", **SLOW_JOB)["job"]["id"]
             wait_for_journal_run(tmp_path / "jobs" / job_id)
-            holder = wait_for_job_tree(proc.pid)[0]
+            holder = wait_for_holder_tree(tmp_path, job_id)[0]
             os.kill(holder, signal.SIGKILL)
             status = client.wait_for_state(job_id, TERMINAL, timeout=120)
             assert status["state"] == "done"
@@ -403,7 +419,8 @@ class TestEventDrivenDispatch:
             start = time.monotonic()
             overdue = client.submit(tenant="alice", max_seconds=1.0,
                                     **LONG_JOB)
-            tree = wait_for_job_tree(proc.pid, timeout=15)
+            tree = wait_for_holder_tree(tmp_path, overdue["job"]["id"],
+                                        timeout=15)
             status = client.wait_for_state(overdue["job"]["id"], TERMINAL,
                                            timeout=15)
             assert time.monotonic() - start < 15

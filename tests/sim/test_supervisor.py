@@ -19,6 +19,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -32,7 +33,8 @@ from repro.resilience.errors import (
     WorkerCrashError,
 )
 from repro.sim.engine import EpochResult, RunResult
-from repro.sim.parallel import RunSpec, run_many
+from repro.obs.metrics import REGISTRY
+from repro.sim.parallel import RunSpec, _run_spec, run_many
 from repro.sim.supervisor import (
     SweepPolicy,
     inspect_journal,
@@ -82,12 +84,25 @@ def _scripted_worker(spec):
         raise RuntimeError("scripted failure")
     if scheme == "oom":
         raise MemoryError("scripted allocation failure")
+    if scheme == "exit":
+        raise SystemExit(3)
     if scheme.startswith("flaky:"):
         marker = pathlib.Path(scheme.split(":", 1)[1])
         if not marker.exists():
             marker.touch()
             raise RuntimeError("scripted transient failure")
     return _toy_result(spec)
+
+
+def _pid_worker(spec):
+    return os.getpid()
+
+
+def _term_on_first_run(spec):
+    """A real run; the first spec's also SIGTERMs the running process."""
+    if spec.seed == 0:
+        os.kill(os.getpid(), signal.SIGTERM)
+    return _run_spec(spec)
 
 
 def _forbidden_worker(spec):
@@ -722,3 +737,130 @@ def test_unfenced_journals_report_no_leases(tmp_path):
     assert summary.leases == []
     assert summary.adoptions == 0
     assert "leases" not in summary.render()
+
+
+# -- in-process attempts (pool workers) --------------------------------------
+
+def _journal_records(path):
+    """Every journal record, minus its wall-clock fields."""
+    timing = {"elapsed", "total", "p50", "p90", "max"}
+    return [{k: v for k, v in json.loads(line).items() if k not in timing}
+            for line in path.read_text().splitlines()]
+
+
+def test_in_process_sweep_matches_the_pool_path(tmp_path):
+    specs = _specs(["(16:1:1)", "morphcache"])
+    pooled = run_supervised(specs, jobs=1, journal=tmp_path / "pool.jsonl")
+    inline = run_supervised(specs, jobs=1, journal=tmp_path / "inline.jsonl",
+                            in_process=True)
+    assert pooled.ok and inline.ok
+    assert [result_to_json(r) for r in inline.results] \
+        == [result_to_json(r) for r in pooled.results]
+    assert _journal_records(tmp_path / "inline.jsonl") \
+        == _journal_records(tmp_path / "pool.jsonl")
+
+
+def test_in_process_flaky_run_retried(tmp_path):
+    marker = tmp_path / "first-attempt"
+    report = run_supervised(_specs(["ok", f"flaky:{marker}"]), jobs=1,
+                            policy=SweepPolicy(retries=1, **FAST),
+                            worker=_scripted_worker, in_process=True)
+    assert report.ok
+    assert report.retried == [1]
+    assert report.outcomes[1].attempts == 2
+    assert report.results[1].epochs[0].misses == {0: 1}
+
+
+def test_in_process_failures_quarantined_and_exits_propagate():
+    report = run_supervised(_specs(["fail", "oom", "ok"]), jobs=1,
+                            policy=SweepPolicy(**FAST),
+                            worker=_scripted_worker, in_process=True)
+    assert report.quarantined == [0, 1]
+    assert report.succeeded == [2]
+    assert isinstance(report.outcomes[0].exception, RuntimeError)
+    assert isinstance(report.outcomes[1].exception, WorkerCrashError)
+    assert "out of memory" in report.outcomes[1].error
+    # Only Exception is an attempt's failure; SystemExit ends the caller.
+    with pytest.raises(SystemExit):
+        run_supervised(_specs(["exit", "ok"]), jobs=1,
+                       policy=SweepPolicy(**FAST),
+                       worker=_scripted_worker, in_process=True)
+
+
+def test_in_process_hang_charged_the_pool_paths_timeout():
+    alarm_handler = signal.getsignal(signal.SIGALRM)
+    errors = {}
+    REGISTRY.reset()
+    REGISTRY.enable()
+    try:
+        for in_process in (False, True):
+            start = time.monotonic()
+            report = run_supervised(
+                _specs(["hang", "ok"]), jobs=1,
+                policy=SweepPolicy(run_timeout=0.5, **FAST),
+                worker=_scripted_worker, in_process=in_process)
+            assert time.monotonic() - start < 30
+            assert report.quarantined == [0]
+            assert report.succeeded == [1]  # the next run still completes
+            assert isinstance(report.outcomes[0].exception, WorkerCrashError)
+            errors[in_process] = report.outcomes[0].error
+        timeouts = REGISTRY.get("repro_sweep_timeouts_total").value
+    finally:
+        REGISTRY.disable()
+        REGISTRY.reset()
+    wording = "exceeded the 0.5s wall-clock timeout"
+    assert wording in errors[False] and wording in errors[True]
+    assert timeouts == 2
+    # The timer was armed around the attempt only.
+    assert signal.getsignal(signal.SIGALRM) is alarm_handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+def test_in_process_sigterm_drains_and_resumes_bit_identically(tmp_path):
+    journal = tmp_path / "sweep.jsonl"
+    specs = _specs(["(16:1:1)", "(1:1:16)", "morphcache"])
+    with pytest.raises(SweepInterrupted) as interrupted:
+        run_supervised(specs, jobs=1, journal=journal,
+                       worker=_term_on_first_run, in_process=True)
+    # The run in flight when the signal landed finished and was journaled.
+    assert interrupted.value.report.succeeded == [0]
+    resumed = run_supervised(specs, jobs=1, journal=journal, resume=True,
+                             in_process=True)
+    assert resumed.ok and resumed.resumed == [0]
+    assert [result_to_json(r) for r in resumed.results] \
+        == [result_to_json(r) for r in run_many(specs, jobs=1)]
+
+
+def test_in_process_builds_no_pool_but_threads_and_jobs_above_one_do(
+        monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.sim import supervisor
+
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", spy)
+
+    def sweep(jobs, specs=2):
+        return run_supervised(_specs(["a"] * specs), jobs=jobs,
+                              policy=SweepPolicy(**FAST),
+                              worker=_pid_worker, in_process=True).results
+
+    # jobs=4 over one spec is one process too.
+    assert sweep(jobs=1) == [os.getpid()] * 2
+    assert sweep(jobs=4, specs=1) == [os.getpid()]
+    assert built == []
+    # More than one process: the fork pool.
+    assert os.getpid() not in sweep(jobs=2)
+    assert built == [2]
+    # Off the main thread (no SIGALRM, no drain): the fork pool.
+    results = []
+    thread = threading.Thread(target=lambda: results.extend(sweep(jobs=1)))
+    thread.start()
+    thread.join(120)
+    assert len(results) == 2 and os.getpid() not in results
+    assert built == [2, 1]

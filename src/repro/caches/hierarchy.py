@@ -345,12 +345,6 @@ class CacheHierarchy:
     def l3_groups(self) -> List[Tuple[int, ...]]:
         return list(self._l3_groups)
 
-    def l2_group_of(self, slice_id: int) -> Tuple[int, ...]:
-        return self._l2_group_of[slice_id]
-
-    def l3_group_of(self, slice_id: int) -> Tuple[int, ...]:
-        return self._l3_group_of[slice_id]
-
     # -- batch-engine entry points ------------------------------------------
 
     @property

@@ -89,9 +89,10 @@ class CheckpointError(ReproError):
 class WorkerCrashError(ReproError):
     """A sweep worker process died without raising a Python exception.
 
-    Wraps ``concurrent.futures.process.BrokenProcessPool`` (and worker
-    ``MemoryError``) so a crashed/OOM-killed worker surfaces as a typed,
-    retryable simulator error instead of a raw traceback.
+    Covers a worker that died mid-run (EOF on its pipe), one killed for
+    overrunning its timeout, and a worker ``MemoryError``, so a
+    crashed/OOM-killed worker surfaces as a typed, retryable simulator
+    error instead of a raw traceback.
     """
 
     exit_code = 7

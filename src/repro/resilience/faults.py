@@ -333,10 +333,3 @@ class FaultInjector:
     def injected(self) -> int:
         """Total fault events applied so far."""
         return len(self.log)
-
-    def active_disables(self) -> Dict[str, List[int]]:
-        """Currently-offline slices per level (for digests and reports)."""
-        result: Dict[str, List[int]] = {"l2": [], "l3": []}
-        for (level, slice_id) in sorted(self._disabled_until):
-            result[level].append(slice_id)
-        return result

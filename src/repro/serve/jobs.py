@@ -80,7 +80,19 @@ def write_json_durable(path, payload: Dict[str, Any]) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    dir_fd = os.open(str(path.parent), os.O_RDONLY)
+    fsync_dir(path.parent)
+
+
+def fsync_dir(path) -> None:
+    """``fsync`` a directory, so a rename or a new entry in it is durable.
+
+    A directory that cannot be opened is skipped: the entry is still
+    there, only its durability across a power loss is unproven.
+    """
+    try:
+        dir_fd = os.open(str(path), os.O_RDONLY)
+    except OSError:
+        return
     try:
         os.fsync(dir_fd)
     finally:
@@ -372,6 +384,7 @@ __all__ = [
     "SPEC_FILE",
     "STATUS_FILE",
     "TERMINAL_STATES",
+    "fsync_dir",
     "job_id",
     "known_schemes",
     "read_json",

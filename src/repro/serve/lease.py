@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.resilience.errors import LeaseLostError, PoolCorruptError
+from repro.serve.jobs import fsync_dir, read_json_tolerant, write_json_durable
 
 #: Subdirectory of a job dir holding its claim/heartbeat files.
 LEASE_DIR = "lease"
@@ -65,38 +66,6 @@ LEASE_DIR = "lease"
 _CLAIM_PREFIX = "claim-"
 _HB_SUFFIX = ".hb"
 _RELEASED_SUFFIX = ".released"
-
-
-def _fsync_dir(path: pathlib.Path) -> None:
-    try:
-        dir_fd = os.open(str(path), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def _write_durable(path: pathlib.Path, payload: dict) -> None:
-    """Atomic-replace JSON write (same discipline as the job dir files)."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-
-
-def _read_json(path: pathlib.Path) -> Optional[dict]:
-    """A dict from ``path``, or ``None`` on any torn/missing/foreign file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
 
 
 def _claim_path(job_dir: pathlib.Path, fence: int) -> pathlib.Path:
@@ -172,14 +141,14 @@ def read_lease(job_dir) -> Optional[LeaseState]:
     if best < 0:
         return None
     claim_path = _claim_path(job_dir, best)
-    claim = _read_json(claim_path) or {}
+    claim = read_json_tolerant(claim_path) or {}
     try:
         mtime = claim_path.stat().st_mtime
     except OSError:
         mtime = 0.0
     owner = str(claim.get("owner", "?"))
     acquired_at = float(claim.get("acquired_at", mtime))
-    heartbeat = _read_json(
+    heartbeat = read_json_tolerant(
         claim_path.with_suffix(_HB_SUFFIX)) or {}
     renewed_at = float(heartbeat.get("renewed_at", acquired_at))
     beats = int(heartbeat.get("beats", 0))
@@ -232,7 +201,7 @@ class LeaseHandle:
         """
         self.check()
         self._beats += 1
-        _write_durable(
+        write_json_durable(
             _claim_path(self.job_dir, self.fence).with_suffix(_HB_SUFFIX),
             {"renewed_at": time.time(), "beats": self._beats,
              "owner": self.owner})
@@ -248,8 +217,8 @@ class LeaseHandle:
             return
         marker = _claim_path(self.job_dir, self.fence).with_suffix(
             _RELEASED_SUFFIX)
-        _write_durable(marker, {"owner": self.owner,
-                                "released_at": time.time()})
+        write_json_durable(marker, {"owner": self.owner,
+                                    "released_at": time.time()})
 
 
 def lapsed_fences(job_dir) -> int:
@@ -314,7 +283,7 @@ def acquire(job_dir, owner: str, ttl: float,
     except OSError as exc:
         raise PoolCorruptError(
             f"cannot write claim file {claim_path}: {exc}") from exc
-    _fsync_dir(lease_dir)
+    fsync_dir(lease_dir)
     handle = LeaseHandle(job_dir, fence, owner, acquired_at)
     handle.renew()
     return handle

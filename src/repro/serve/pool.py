@@ -79,6 +79,7 @@ from repro.serve.jobs import (
     JobSpec,
     SPEC_FILE,
     STATUS_FILE,
+    fsync_dir,
     job_id,
     read_json_tolerant,
     spec_record,
@@ -242,7 +243,7 @@ class SharedPool:
                     os.unlink(marker)
                 except OSError:
                     pass
-            _fsync_dir(self.jobs_root)
+            fsync_dir(self.jobs_root)
             if REGISTRY.enabled:
                 REGISTRY.counter(
                     "repro_pool_admissions_total",
@@ -264,7 +265,7 @@ class SharedPool:
         with open(stage, "w", encoding="utf-8") as fh:
             json.dump({"started_order": started_order}, fh)
         os.rename(stage, self.root / PENDING_DIR / job.id)
-        _fsync_dir(self.root / PENDING_DIR)
+        fsync_dir(self.root / PENDING_DIR)
 
     def withdraw(self, job_id_str: str) -> None:
         """Take a job out of the claimable index (a no-op if it is out)."""
@@ -390,17 +391,6 @@ def _load_config(pool_file: pathlib.Path) -> PoolConfig:
             f"fields: {exc}") from exc
 
 
-def _fsync_dir(path: pathlib.Path) -> None:
-    try:
-        dir_fd = os.open(str(path), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
 # -- execution ---------------------------------------------------------------
 
 def execute_claim(pool: SharedPool, job: Job, handle: LeaseHandle,
@@ -426,6 +416,13 @@ def execute_claim(pool: SharedPool, job: Job, handle: LeaseHandle,
     """
     job_dir = job.job_dir
     spec = job.spec
+    # Name this process as the job's runner from the claim on, not from the
+    # heartbeat thread's first tick: a job that ends within one heartbeat
+    # would otherwise never show its holder's pid.
+    try:
+        pool.write_worker_heartbeat(worker_id, jobs_done, job.id)
+    except OSError:
+        pass
     stop = threading.Event()
 
     def beat() -> None:

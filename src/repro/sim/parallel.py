@@ -4,25 +4,25 @@ Every figure/table of the paper is a sweep over (scheme × workload) pairs,
 and every run in a sweep is independent: the simulator is deterministic
 given (scheme, workload, config, seed), so the runs can execute in any
 order, on any worker, and still produce exactly the results a serial sweep
-would.  :func:`run_many` exploits that with a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+would.  :func:`run_many` exploits that with forked worker processes:
 
 - **Deterministic seeds** — each :class:`RunSpec` carries its own seed;
   :func:`derive_seed` provides a stable per-index derivation for callers
   that want ``n`` distinct seeded runs from one base seed.  Nothing about
   seeding depends on worker scheduling.
-- **Ordered collection** — results return in input order (``executor.map``
-  semantics), so ``run_many(specs)[i]`` always belongs to ``specs[i]``.
+- **Ordered collection** — results return in input order, so
+  ``run_many(specs)[i]`` always belongs to ``specs[i]``.
 - **Failures surface** — a worker exception propagates to the caller when
-  its result is collected; the pool is shut down rather than left hanging.
+  its result is collected; the workers are stopped rather than left
+  hanging.
 - ``jobs=1`` (or a single spec) runs serially in-process: bit-identical to
-  the pool path and friendlier to debuggers and coverage tools.
+  the multi-process path and friendlier to debuggers and coverage tools.
 
 The multi-process path delegates to :mod:`repro.sim.supervisor` in strict
 mode, which preserves the raise-on-first-failure contract above while
 adding crash containment (a dead worker surfaces as a typed
-:class:`~repro.resilience.errors.WorkerCrashError` instead of a raw
-``BrokenProcessPool`` traceback) and, when asked, timeouts, retries,
+:class:`~repro.resilience.errors.WorkerCrashError`, charged to the run it
+was running) and, when asked, timeouts, retries,
 quarantine and a resumable run journal — see :func:`run_many`'s
 supervision parameters and :func:`repro.sim.supervisor.run_supervised`.
 
@@ -147,7 +147,7 @@ def run_many(
     Args:
         specs: the runs to perform.
         jobs: worker processes; defaults to ``REPRO_JOBS`` (else serial).
-            The pool never exceeds the number of specs.
+            Never more than the number of specs.
         policy: optional :class:`~repro.sim.supervisor.SweepPolicy` adding
             per-run timeouts and retries (retried runs reuse their original
             seed, so results stay bit-identical to a serial sweep).
@@ -161,10 +161,9 @@ def run_many(
 
     Raises:
         Whatever a worker raised (e.g. ``ValueError`` for an unknown
-        scheme); the pool is torn down, no run is silently dropped.  A
+        scheme); the workers are stopped, no run is silently dropped.  A
         worker that *dies* raises
-        :class:`~repro.resilience.errors.WorkerCrashError` instead of a raw
-        ``BrokenProcessPool``.  For quarantine-and-continue semantics call
+        :class:`~repro.resilience.errors.WorkerCrashError`.  For quarantine-and-continue semantics call
         :func:`repro.sim.supervisor.run_supervised` directly.
     """
     specs = list(specs)

@@ -8,15 +8,15 @@ plain pool runner (:func:`repro.sim.parallel.run_many`) treats any of those
 as "throw away the entire sweep"; this module supervises the sweep instead.
 
 :func:`run_supervised` executes a list of
-:class:`~repro.sim.parallel.RunSpec` with ``submit``/``wait`` plus ordered
+:class:`~repro.sim.parallel.RunSpec` on worker *slots* it owns — a forked
+process plus one duplex pipe each, one attempt at a time — with ordered
 reassembly (results land by spec index, never by completion order) and
 climbs a supervision ladder per run:
 
 1. **Timeout** — each attempt gets a wall-clock budget
-   (:attr:`SweepPolicy.run_timeout`).  Because at most one attempt is in
-   flight per worker, an overdue future means a *hung worker*: the pool's
-   processes are killed and replaced, the timed-out run is charged a
-   failure, and innocent in-flight runs are requeued without charge.
+   (:attr:`SweepPolicy.run_timeout`).  Because a slot runs one attempt,
+   an overdue attempt means a *hung worker*: that slot's process alone is
+   killed and the timed-out run is charged a failure.
 2. **Retry** — a failed attempt is retried up to :attr:`SweepPolicy.retries`
    times with deterministic exponential backoff: the delay jitter is seeded
    from :func:`~repro.sim.parallel.derive_seed` ``(spec.seed, attempt)``,
@@ -31,14 +31,11 @@ climbs a supervision ladder per run:
    :class:`RunOutcome` (status, attempts, elapsed, error), so callers keep
    partial results even when some runs are lost.
 
-A worker that *dies* (``BrokenProcessPool``) or raises ``MemoryError``
-surfaces as a typed :class:`~repro.resilience.errors.WorkerCrashError`.  A
-broken pool cannot say which run killed its worker, so only attributable
-crashes are charged: a run that breaks the pool while it is the only run
-lost is charged one failure; when several runs are lost together, none is
-charged and each becomes a *suspect* that is rerun alone, so the poisonous
-one breaks its pool alone and is charged, and innocents are never
-quarantined for sharing a pool with it.  The pool is rebuilt either way.
+A worker that *dies* or raises ``MemoryError`` surfaces as a typed
+:class:`~repro.resilience.errors.WorkerCrashError`.  A death is EOF on its
+slot's pipe or the slot's process sentinel, so it is charged to that
+slot's run alone; other slots run on, and the dead one is replaced on the
+next need.
 
 **Journal.**  With ``journal=PATH`` every completed run is appended to a
 crash-safe JSONL journal: one self-contained line per record, written with
@@ -58,18 +55,18 @@ runs, record them, flush the journal and raise
 the partial report attached.  A second signal falls through to the default
 disposition for anyone who really means it.
 
-**Where attempts run.**  Attempts run in a forked
-``ProcessPoolExecutor``, ``jobs=1`` included.  ``in_process=True`` (the
-worker pool's :func:`~repro.serve.pool.execute_claim` passes it) runs them
-in the calling process instead when the sweep would use one process and
-the caller is the main thread; only the executor changes, the ladder
-above does not.  A timeout then raises out of a ``SIGALRM`` timer, and a
+**Where attempts run.**  Attempts run in forked slots, ``jobs=1``
+included.  ``in_process=True`` (the worker pool's
+:func:`~repro.serve.pool.execute_claim` passes it) runs them in the
+calling process instead when the sweep would use one process and the
+caller is the main thread; the attempt yields the same ``(ok, value)``
+reply a slot sends, so the ladder above does not change.  A timeout then raises out of a ``SIGALRM`` timer, and a
 crash takes the caller down: the pool's service, which restarts and
 watches its workers, supervises that.
 
 ``strict=True`` preserves the historical ``run_many`` contract: the first
-run to exhaust its attempts re-raises its original exception (the pool is
-torn down, nothing is silently dropped).  Non-strict callers get the
+run to exhaust its attempts re-raises its original exception (the slots
+are stopped, nothing is silently dropped).  Non-strict callers get the
 :class:`SweepReport` and decide for themselves.
 """
 
@@ -78,21 +75,15 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pathlib
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.resilience.checkpoint import epoch_from_json, epoch_to_json
@@ -723,19 +714,18 @@ class _SignalDrain:
         return signal.Signals(self.received).name if self.received else ""
 
 
-# -- the supervisor ---------------------------------------------------------
+# -- worker slots ------------------------------------------------------------
 
 def _bind_worker_to_parent() -> None:
-    """Pool-worker initializer: die when the supervising process does.
+    """Slot-worker start: die when the supervising process does.
 
-    A SIGKILLed supervisor gets no chance to tear its executor down, and
-    CPython's pool workers then block forever in their call-queue read —
-    each child holds its own write end of that pipe, so EOF never comes.
-    The worker-pool failover drills SIGKILL supervisors on purpose, and
-    every orphan is a leaked interpreter pinning a CPU slot.  On Linux,
-    ask the kernel to deliver SIGKILL on parent death instead; elsewhere
-    this is a no-op and the orphan is bounded by the drill, not by
-    production operation.
+    A SIGKILLed supervisor gets no chance to stop its slots.  An idle
+    worker then reads EOF and exits, but a busy one would finish its run
+    first (a hung one never does), and any process its run forked would
+    outlive both.  The worker-pool failover drills SIGKILL supervisors on
+    purpose, and every orphan is a leaked interpreter pinning a CPU slot.
+    On Linux, ask the kernel to deliver SIGKILL on parent death instead;
+    elsewhere this is a no-op and the orphan is bounded by its run.
     """
     try:
         import ctypes
@@ -754,65 +744,93 @@ def _bind_worker_to_parent() -> None:
         pass  # non-Linux / restricted libc: keep the old behaviour
 
 
-def _pool_internals(pool):
-    """The pool's worker processes and manager thread, read *before*
-    ``shutdown`` (which drops both references).  The attributes are
-    private but stable across CPython 3.8–3.13; an :class:`_InlineExecutor`
-    has neither, so both helpers below reduce to its no-op ``shutdown``."""
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    return processes, getattr(pool, "_executor_manager_thread", None)
+def _worker_main(conn, run: Callable, inherited: Sequence) -> None:
+    """A slot's process: answer each spec with ``(ok, value)`` until EOF.
 
-
-def _kill_pool(pool, grace: float = 5.0) -> None:
-    """Forcibly replace a pool whose worker(s) hung: kill, then discard.
-
-    ``shutdown`` alone would block behind the hung task forever;
-    ``Process.kill`` is the only lever that actually reclaims the worker.
+    ``inherited`` are the supervisor's ends of every slot's pipe, this
+    one's included, which the fork copied: closed here, so that the
+    supervisor closing its end reads as EOF.  Only an ``Exception`` becomes
+    a failure reply; anything else ends the process, which the supervisor
+    charges as a crash.  A reply that does not pickle is replaced by the
+    pickling error.
     """
-    processes, manager = _pool_internals(pool)
-    for process in processes:
+    for other in inherited:
+        other.close()
+    _bind_worker_to_parent()
+    while True:
         try:
-            process.kill()
+            spec = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (True, run(spec))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
         except OSError:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    if manager is not None:  # see _retire_pool
-        manager.join(grace)
+            return  # the supervisor is gone
+        except Exception as exc:  # the reply does not pickle
+            conn.send((False, exc))
 
 
-def _retire_pool(pool, grace: float = 5.0) -> None:
-    """Shut a pool down so the caller's *process exit* can never hang.
+@dataclass
+class _Slot:
+    """One forked worker process, the supervisor's end of its pipe, and
+    the attempt it runs: ``(index, started, deadline)``, or ``None``."""
 
-    ``shutdown(wait=False)`` defers the real teardown to interpreter-exit
-    hooks, which join the (non-daemonic) workers.  CPython's executor
-    shutdown has a rare race in which a worker misses its exit sentinel
-    and stays blocked in its call-queue read forever — it holds its own
-    write end of that pipe, so EOF never arrives, and the joining process
-    wedges at exit.  Give the polite path a short grace, then SIGKILL the
-    stragglers: by the time we are here every result we care about has
-    already travelled back through its future (or been cancelled), so an
-    idle worker holds nothing worth draining.
+    process: Any
+    conn: Any
+    attempt: Optional[tuple] = None
 
-    Finally wait, within the same grace, for the executor's manager
-    thread.  ``shutdown(wait=False)`` returns while that thread is still
-    closing its wakeup pipe, and CPython's interpreter-exit hook writes to
-    every live manager's wakeup pipe without the executor's lock: a
-    process exiting inside that window dies with ``OSError: [Errno 9] Bad
-    file descriptor`` and exits 1 although its sweep completed.
+
+def _spawn_slot(run: Callable, slots: Sequence[_Slot]) -> _Slot:
+    """Fork one worker slot beside ``slots``.
+
+    Always fork: the worker starts warm from this process, whatever the
+    caller's default start method (a spawned child inherits its own, and
+    would re-import the simulator), and ``run`` needs no pickling.  The
+    simulator is loaded here first, so it is imported once, not once per
+    worker.  Not daemonic: a run may start a sweep of its own.
     """
-    processes, manager = _pool_internals(pool)
-    pool.shutdown(wait=False, cancel_futures=True)
+    import_simulator()
+    ctx = multiprocessing.get_context("fork")
+    conn, child = ctx.Pipe()
+    process = ctx.Process(
+        target=_worker_main, name="repro-sweep-worker", daemon=False,
+        args=(child, run, [conn] + [slot.conn for slot in slots]))
+    process.start()
+    child.close()
+    return _Slot(process, conn)
+
+
+def _receive(slot: _Slot) -> Optional[tuple]:
+    """The slot's ``(ok, value)`` reply, or ``None`` once its process died."""
+    try:
+        if slot.conn.poll():
+            return slot.conn.recv()
+    except (EOFError, OSError):
+        pass
+    return None
+
+
+def _stop_slots(slots: Sequence[_Slot], grace: float = 5.0) -> None:
+    """Stop slots for good and reap their processes.
+
+    Closing a pipe lets an idle worker read EOF and exit; a busy one is
+    killed at once, since nothing waits for its attempt any more.  Any
+    worker still alive after ``grace`` is killed too.
+    """
+    for slot in slots:
+        slot.conn.close()
+        if slot.attempt is not None:
+            slot.process.kill()
     deadline = time.monotonic() + grace
-    for process in processes:
-        process.join(max(deadline - time.monotonic(), 0.0))
-    for process in processes:
-        if process.is_alive():
-            try:
-                process.kill()
-            except OSError:
-                pass
-    if manager is not None:
-        manager.join(max(deadline - time.monotonic(), 0.0))
+    for slot in slots:
+        slot.process.join(max(deadline - time.monotonic(), 0.0))
+        if slot.process.exitcode is None:
+            slot.process.kill()
+            slot.process.join()
 
 
 class _RunTimeout(BaseException):
@@ -825,39 +843,24 @@ def _raise_timeout(signum, frame) -> None:
     raise _RunTimeout()
 
 
-class _InlineExecutor:
-    """Runs each attempt in the calling process, the moment it is submitted.
+def _attempt_here(run: Callable, spec: RunSpec,
+                  run_timeout: Optional[float]) -> tuple:
+    """Run one attempt in this process, as a slot's ``(ok, value)`` reply.
 
-    ``submit`` returns a finished :class:`Future`, so the supervision
-    loop's ``wait`` and outcome code serve both executors unchanged.  Only
-    ``Exception`` (and a timeout) goes into the future; ``KeyboardInterrupt``
-    and ``SystemExit`` propagate to the caller.  ``run_timeout`` arms
-    ``ITIMER_REAL`` around the attempt alone and restores the previous
-    ``SIGALRM`` handler afterwards.
+    Only ``Exception`` (and a timeout) becomes a failure;
+    ``KeyboardInterrupt`` and ``SystemExit`` propagate to the caller.
+    ``run_timeout`` arms ``ITIMER_REAL`` around the attempt alone and
+    restores the previous ``SIGALRM`` handler afterwards.
     """
-
-    def __init__(self, run_timeout: Optional[float]) -> None:
-        self._run_timeout = run_timeout
-
-    def submit(self, fn: Callable, *args) -> Future:
-        future: Future = Future()
-        try:
-            result = self._call(fn, args)
-        except (Exception, _RunTimeout) as exc:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-        return future
-
-    def _call(self, fn: Callable, args: tuple):
-        if not self._run_timeout:
-            return fn(*args)
+    try:
+        if not run_timeout:
+            return True, run(spec)
         previous = signal.signal(signal.SIGALRM, _raise_timeout)
         if previous is None:  # installed outside Python
             previous = signal.SIG_DFL
         try:
-            signal.setitimer(signal.ITIMER_REAL, self._run_timeout)
-            return fn(*args)
+            signal.setitimer(signal.ITIMER_REAL, run_timeout)
+            return True, run(spec)
         finally:
             while True:
                 try:
@@ -868,10 +871,11 @@ class _InlineExecutor:
                     # The alarm fired as the attempt ended and was still
                     # pending here: the attempt's own outcome stands.
                     continue
+    except (Exception, _RunTimeout) as exc:
+        return False, exc
 
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        pass  # nothing runs between submissions
 
+# -- the supervisor ---------------------------------------------------------
 
 def run_supervised(
     specs: Sequence[RunSpec],
@@ -902,7 +906,8 @@ def run_supervised(
         strict: re-raise the first run's final failure instead of
             quarantining — the historical ``run_many`` contract.
         worker: the per-spec callable executed in the worker process
-            (default: the real simulation).  Must be picklable; exposed for
+            (default: the real simulation).  The forked workers inherit
+            it; only specs and replies cross the pipe.  Exposed for
             fault-injection harnesses and tests.
         journal_extra: fields stamped onto every journal record — the
             worker pool passes its lease token here so journal lines carry
@@ -961,14 +966,17 @@ def run_supervised(
 
     pending = deque(o.index for o in outcomes if o.status == "pending")
     release: Dict[int, float] = {}  # index -> monotonic backoff release time
-    # Runs lost together in a pool break: rerun one at a time, uncharged,
-    # until an attempt of each settles (succeeds or is charged).
-    suspects: Set[int] = set()
-    inflight: Dict[Any, tuple] = {}  # future -> (index, started, deadline)
-    pool: Any = None  # ProcessPoolExecutor or _InlineExecutor, built lazily
+    slots: List[_Slot] = []  # forked on first need, at most ``jobs``
     inline = (in_process and jobs == 1
               and threading.current_thread() is threading.main_thread())
     t_start = time.monotonic()
+
+    def busy() -> List[_Slot]:
+        return [slot for slot in slots if slot.attempt is not None]
+
+    def retire(slot: _Slot) -> None:
+        slots.remove(slot)
+        _stop_slots([slot])
 
     def timed_out(index: int, elapsed: float, fate: str) -> None:
         """Charge an attempt that overran ``run_timeout``."""
@@ -983,7 +991,6 @@ def run_supervised(
 
     def fail(index: int, exc: BaseException, elapsed: float) -> None:
         """Charge one failed attempt; retry with backoff or quarantine."""
-        suspects.discard(index)
         outcome = outcomes[index]
         outcome.attempts += 1
         outcome.elapsed += elapsed
@@ -1011,15 +1018,28 @@ def run_supervised(
                                                      outcome.attempts))
             pending.append(index)
 
-    def succeed(index: int, result: RunResult, elapsed: float) -> None:
-        suspects.discard(index)
+    def settle(index: int, reply: tuple, elapsed: float) -> None:
+        """Record one attempt's ``(ok, value)`` reply, whichever process
+        ran it."""
+        ok, value = reply
+        if not ok:
+            if isinstance(value, _RunTimeout):
+                timed_out(index, elapsed, "run abandoned")
+                return
+            if isinstance(value, MemoryError):
+                value = WorkerCrashError(
+                    f"worker ran out of memory on run {index} "
+                    f"({specs[index].scheme} on "
+                    f"{specs[index].workload.name})")
+            fail(index, value, elapsed)
+            return
         outcome = outcomes[index]
         outcome.attempts += 1
         outcome.elapsed += elapsed
         outcome.status = "ok"
         outcome.error = None
         outcome.exception = None
-        results[index] = result
+        results[index] = value
         reg = obs_metrics.REGISTRY
         if reg.enabled:
             reg.counter("repro_sweep_runs_total",
@@ -1030,138 +1050,80 @@ def run_supervised(
                           ).observe(elapsed)
         if jrnl is not None:
             jrnl.record_run(index, keys[index], outcome.attempts,
-                            outcome.elapsed, result)
+                            outcome.elapsed, value)
 
     try:
         with _SignalDrain() as drain:
-            while pending or inflight:
-                if drain.received is not None and not inflight:
+            while pending or busy():
+                if drain.received is not None and not busy():
                     break  # drained; whatever is still queued stays pending
                 now = time.monotonic()
-                # Submit, at most one attempt per worker slot: every
-                # submitted future is genuinely *executing*, which is what
-                # makes its wall-clock deadline meaningful.  While suspects
-                # of a pool break remain (at the head of the queue), runs
-                # go one at a time.
-                limit = 1 if suspects else jobs
+                # Submit, at most one attempt per slot: every attempt in
+                # flight is genuinely *executing*, which is what makes its
+                # wall-clock deadline meaningful.
                 while (drain.received is None and pending
-                       and len(inflight) < limit):
+                       and len(busy()) < jobs):
                     index = _pop_eligible(pending, release, now)
                     if index is None:
                         break
-                    if pool is None and inline:
-                        pool = _InlineExecutor(policy.run_timeout)
-                    elif pool is None:
-                        # Always fork: workers start warm from this
-                        # process, whatever the caller's default start
-                        # method (a spawned child inherits
-                        # its own, and would re-import the simulator).
-                        # Load the simulator here first, so it is
-                        # imported once, not once per worker and pool.
-                        import_simulator()
-                        pool = ProcessPoolExecutor(
-                            max_workers=jobs,
-                            mp_context=multiprocessing.get_context("fork"),
-                            initializer=_bind_worker_to_parent)
+                    if inline:
+                        settle(index, _attempt_here(run, specs[index],
+                                                    policy.run_timeout),
+                               time.monotonic() - now)
+                        now = time.monotonic()
+                        continue
+                    slot = next((s for s in slots if s.attempt is None),
+                                None)
+                    if slot is None:
+                        slot = _spawn_slot(run, slots)
+                        slots.append(slot)
                     try:
-                        future = pool.submit(run, specs[index])
-                    except BrokenProcessPool:
-                        # A worker died since the last submission.  This
-                        # run never started: requeue it uncharged.  The
-                        # break surfaces through the in-flight futures;
-                        # with none, nothing else will, so drop the pool.
+                        slot.conn.send(specs[index])
+                    except OSError:
+                        # The slot died idle, so this run never started:
+                        # replace the slot, requeue the run uncharged.
+                        retire(slot)
                         pending.appendleft(index)
-                        if inflight:
-                            break
-                        _kill_pool(pool)
-                        pool = None
                         continue
                     deadline = (now + policy.run_timeout
                                 if policy.run_timeout else None)
-                    inflight[future] = (index, now, deadline)
+                    slot.attempt = (index, now, deadline)
+                inflight = busy()
                 if not inflight:
-                    if drain.received is not None:
-                        break
-                    # Everything runnable is backing off; sleep to the
-                    # earliest release (bounded by the poll interval).
-                    until = min(release.get(i, now) for i in pending)
-                    time.sleep(min(max(until - now, 0.0) + 1e-4,
-                                   policy.poll_interval * 4))
+                    if pending and drain.received is None:
+                        # Everything runnable is backing off; sleep to the
+                        # earliest release (bounded by the poll interval).
+                        until = min(release.get(i, now) for i in pending)
+                        time.sleep(min(max(until - now, 0.0) + 1e-4,
+                                       policy.poll_interval * 4))
                     continue
 
-                done, _ = wait(set(inflight), timeout=policy.poll_interval,
-                               return_when=FIRST_COMPLETED)
+                ready = set(multiprocessing.connection.wait(
+                    [slot.conn for slot in inflight]
+                    + [slot.process.sentinel for slot in inflight],
+                    timeout=policy.poll_interval))
                 now = time.monotonic()
-                lost: List[tuple] = []  # (index, elapsed) of a pool break
-                for future in done:
-                    index, started, _ = inflight.pop(future)
-                    elapsed = now - started
-                    exc = future.exception()
-                    if exc is None:
-                        succeed(index, future.result(), elapsed)
-                        continue
-                    if isinstance(exc, BrokenProcessPool):
-                        lost.append((index, elapsed))
-                        continue
-                    if isinstance(exc, _RunTimeout):
-                        timed_out(index, elapsed, "run abandoned")
-                        continue
-                    if isinstance(exc, MemoryError):
-                        exc = WorkerCrashError(
-                            f"worker ran out of memory on run {index} "
-                            f"({specs[index].scheme} on "
-                            f"{specs[index].workload.name})")
-                    fail(index, exc, elapsed)
-                if lost:
-                    # A break fails every in-flight future; collect those
-                    # wait() has not returned yet (salvaging any that
-                    # finished before the break).
-                    for future, (index, started, _) in list(inflight.items()):
-                        del inflight[future]
-                        if future.done() and future.exception() is None:
-                            succeed(index, future.result(), now - started)
-                        else:
-                            lost.append((index, now - started))
-                    if pool is not None:
-                        _kill_pool(pool)
-                        pool = None
-                    if len(lost) == 1:
-                        # Alone in the break: the crash is this run's.
-                        index, elapsed = lost[0]
+                for slot in inflight:
+                    index, started, deadline = slot.attempt
+                    if slot.conn in ready or slot.process.sentinel in ready:
+                        reply = _receive(slot)
+                        if reply is not None:
+                            slot.attempt = None
+                            settle(index, reply, now - started)
+                            continue
+                        # EOF or exit: the crash is this slot's run's.
+                        retire(slot)
                         spec = specs[index]
                         fail(index, WorkerCrashError(
                             f"worker process died while running "
                             f"{spec.scheme} on {spec.workload.name} "
-                            f"(run {index}): BrokenProcessPool"), elapsed)
-                    else:
-                        for index, _ in sorted(lost, reverse=True):
-                            suspects.add(index)
-                            pending.appendleft(index)  # no charge
-
-                # Hang detection: an overdue, still-running future means
-                # its worker is wedged.  Kill the pool, charge the overdue
-                # runs, and requeue the innocent in-flight ones without
-                # charging an attempt (salvaging any that finished in the
-                # race window between wait() and here).
-                overdue = [(future, entry) for future, entry in
-                           inflight.items()
-                           if entry[2] is not None and now >= entry[2]
-                           and not future.done()]
-                if overdue:
-                    for future, _ in overdue:
-                        del inflight[future]
-                    preempted = list(inflight.items())
-                    inflight.clear()
-                    if pool is not None:
-                        _kill_pool(pool)
-                        pool = None
-                    for future, (index, started, deadline) in overdue:
+                            f"(run {index}, exit code "
+                            f"{slot.process.exitcode})"), now - started)
+                    elif (deadline is not None and now >= deadline
+                          and not slot.conn.poll()):
+                        # Hung: kill this slot's worker alone.
+                        retire(slot)
                         timed_out(index, now - started, "worker killed")
-                    for future, (index, started, deadline) in preempted:
-                        if future.done() and future.exception() is None:
-                            succeed(index, future.result(), now - started)
-                        else:
-                            pending.appendleft(index)  # innocent: no charge
             interrupted = drain.received is not None
             interrupted_by = drain.name
         report = SweepReport(results=results, outcomes=outcomes,
@@ -1170,8 +1132,7 @@ def run_supervised(
         if jrnl is not None:
             jrnl.record_summary(report)
     finally:
-        if pool is not None:
-            _retire_pool(pool)
+        _stop_slots(slots)
         if jrnl is not None:
             jrnl.close()
 

@@ -3,8 +3,7 @@
 The scripted worker below misbehaves on cue (raise, SIGKILL itself, hang,
 MemoryError, fail-once-then-succeed) so every rung of the supervision
 ladder — timeout → retry → quarantine → salvage — is exercised against real
-process pools, not mocks.  The worker functions are module-level so they
-pickle by reference into pool workers.
+forked worker processes, not mocks.
 
 The two subprocess tests at the bottom cover the acceptance criteria: a
 sweep whose *parent* is SIGKILLed mid-run resumes from its journal with
@@ -12,6 +11,7 @@ results bit-identical to the golden-determinism fixture, and SIGTERM drains
 in-flight runs and exits with the ``SweepInterrupted`` code.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -62,7 +62,7 @@ def _specs(schemes, workload=None):
             for i, scheme in enumerate(schemes)]
 
 
-# -- scripted workers (module-level: picklable into pool processes) ---------
+# -- scripted workers ---------------------------------------------------------
 
 def _toy_result(spec):
     return RunResult(
@@ -86,6 +86,8 @@ def _scripted_worker(spec):
         raise MemoryError("scripted allocation failure")
     if scheme == "exit":
         raise SystemExit(3)
+    if scheme == "unpicklable":
+        return lambda: spec
     if scheme.startswith("flaky:"):
         marker = pathlib.Path(scheme.split(":", 1)[1])
         if not marker.exists():
@@ -96,6 +98,23 @@ def _scripted_worker(spec):
 
 def _pid_worker(spec):
     return os.getpid()
+
+
+def _logged_worker(log, spec):
+    """``_scripted_worker`` that first appends ``"<scheme> <pid>"`` to
+    ``log``, one line per start; returns ``(pid, result)``."""
+    with open(log, "a") as fh:
+        fh.write(f"{spec.scheme} {os.getpid()}\n")
+    return os.getpid(), _scripted_worker(spec)
+
+
+def _starts(log):
+    """``{scheme: [pid of each start]}`` from a ``_logged_worker`` log."""
+    starts = {}
+    for line in log.read_text().splitlines():
+        scheme, pid = line.split()
+        starts.setdefault(scheme, []).append(int(pid))
+    return starts
 
 
 def _term_on_first_run(spec):
@@ -157,10 +176,9 @@ def test_poison_spec_quarantined_sweep_continues():
 
 
 def test_worker_sigkill_quarantined_others_intact():
-    # The dead worker breaks the pool; the supervisor rebuilds it, retries
-    # the (possibly innocent) in-flight runs, and quarantines the run that
-    # keeps killing its worker — with a typed WorkerCrashError, not a raw
-    # BrokenProcessPool traceback.
+    # The run that keeps killing its worker is retried in a fresh slot
+    # each time and then quarantined, with a typed WorkerCrashError; the
+    # runs on the other slot are untouched.
     specs = _specs(["ok", "die", "ok", "ok"])
     report = run_supervised(specs, jobs=2,
                             policy=SweepPolicy(retries=2, **FAST),
@@ -174,10 +192,9 @@ def test_worker_sigkill_quarantined_others_intact():
 
 
 def test_pool_break_never_quarantines_an_innocent_in_flight_run():
-    # Both runs are in flight when "die" kills its worker, so the break
-    # fails both futures.  With no retries, charging every in-flight run
-    # would quarantine the innocent sleeper too; rerunning the suspects
-    # one at a time pins the crash on the run that caused it.
+    # Both runs are in flight when "die" kills its worker.  With no
+    # retries, charging every in-flight run would quarantine the innocent
+    # sleeper too; the death is charged to the dying worker's run alone.
     specs = _specs(["die", "sleep:0.5"])
     report = run_supervised(specs, jobs=2,
                             policy=SweepPolicy(retries=0, **FAST),
@@ -189,6 +206,41 @@ def test_pool_break_never_quarantines_an_innocent_in_flight_run():
     assert report.results[1].epochs[0].misses == {0: 1}
 
 
+def test_worker_death_is_charged_to_its_run_alone(tmp_path):
+    # Each attempt has a worker process of its own, so a death is charged
+    # to the run that worker was running: the sleeper beside it is not a
+    # suspect and never reruns.
+    log = tmp_path / "starts.log"
+    report = run_supervised(_specs(["die", "sleep:0.5"]), jobs=2,
+                            policy=SweepPolicy(retries=0, **FAST),
+                            worker=functools.partial(_logged_worker, log))
+    assert report.quarantined == [0]
+    assert report.succeeded == [1]
+    assert "worker process died" in report.outcomes[0].error
+    starts = _starts(log)
+    assert starts["sleep:0.5"] == [report.results[1][0]]
+    assert len(starts["die"]) == 1
+
+
+def test_timeout_kills_only_the_hung_runs_worker(tmp_path):
+    # The hang is overdue at 2 s, while the second sleeper (1 s in) runs
+    # beside it: only the hung worker is killed, and the sleeper finishes
+    # in the worker that started it, the same one as the first sleeper's.
+    log = tmp_path / "starts.log"
+    report = run_supervised(_specs(["hang", "sleep:1.0", "sleep:1.5"]),
+                            jobs=2,
+                            policy=SweepPolicy(run_timeout=2.0, **FAST),
+                            worker=functools.partial(_logged_worker, log))
+    assert report.quarantined == [0]
+    assert report.succeeded == [1, 2]
+    assert "exceeded the 2s wall-clock timeout" in report.outcomes[0].error
+    starts = _starts(log)
+    pid = report.results[1][0]
+    assert starts["sleep:1.0"] == starts["sleep:1.5"] == [pid]
+    assert report.results[2][0] == pid
+    assert starts["hang"] != [pid]
+
+
 def test_worker_memoryerror_translated_to_crash():
     specs = _specs(["ok", "oom"])
     report = run_supervised(specs, jobs=2, policy=SweepPolicy(**FAST),
@@ -197,6 +249,17 @@ def test_worker_memoryerror_translated_to_crash():
     assert isinstance(report.outcomes[1].exception, WorkerCrashError)
     assert "out of memory" in report.outcomes[1].error
     assert report.results[0] is not None
+
+
+def test_unpicklable_reply_charged_as_a_failure():
+    # The result cannot cross the pipe: the pickling error is the run's
+    # failure, and the worker stays up for the next run.
+    report = run_supervised(_specs(["unpicklable", "ok", "ok"]), jobs=1,
+                            policy=SweepPolicy(**FAST),
+                            worker=_scripted_worker)
+    assert report.quarantined == [0]
+    assert report.succeeded == [1, 2]
+    assert "pickle" in report.outcomes[0].error
 
 
 def test_hung_run_times_out_and_quarantines():
@@ -557,9 +620,9 @@ def _children_of(pid):
 @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc + prctl")
 def test_sigkill_leaves_no_orphaned_pool_children(tmp_path):
     # The worker-pool failover drills SIGKILL a supervisor *process* (not
-    # its group) mid-sweep.  Its executor fork-children must die with it
-    # — PR_SET_PDEATHSIG in _bind_worker_to_parent — instead of blocking
-    # forever on the inherited call-queue pipe as orphans of init.
+    # its group) mid-sweep.  Its forked workers must die with it —
+    # PR_SET_PDEATHSIG in _bind_worker_to_parent — instead of finishing
+    # their runs as orphans of init.
     journal = tmp_path / "sweep.jsonl"
     process = _spawn_compare(journal)
     try:
@@ -571,7 +634,7 @@ def test_sigkill_leaves_no_orphaned_pool_children(tmp_path):
         while not kids and time.monotonic() < deadline:
             time.sleep(0.05)
             kids = _children_of(process.pid)
-        assert kids, "executor never forked a pool child"
+        assert kids, "the sweep never forked a worker"
         os.kill(process.pid, signal.SIGKILL)  # the supervisor ONLY
         process.wait()
         deadline = time.monotonic() + 10.0
@@ -581,7 +644,7 @@ def test_sigkill_leaves_no_orphaned_pool_children(tmp_path):
             if not alive:
                 return
             time.sleep(0.05)
-        raise AssertionError(f"orphaned pool children survived: {alive}")
+        raise AssertionError(f"orphaned sweep workers survived: {alive}")
     finally:
         for pid in _children_of(process.pid) if process.poll() is None else []:
             os.kill(pid, signal.SIGKILL)
@@ -615,29 +678,42 @@ def test_workers_fork_even_when_the_caller_defaults_to_spawn():
     assert child.exitcode == 0
 
 
-def test_retired_pools_leave_no_manager_thread_for_the_exit_hook():
-    # CPython's interpreter-exit hook writes to the wakeup pipe of every
-    # live executor manager thread without taking the executor's lock.  A
-    # job process exiting while a retired pool's manager is still closing
-    # that pipe dies with EBADF and exits 1 after a complete sweep, so
-    # run_supervised must not return before the manager has finished.
-    from concurrent.futures import process as futures_process
+#: Twenty 2-job sweeps in a fresh interpreter, noting after each whether
+#: any worker process was left running.
+_REPEATED_SWEEPS = """
+import multiprocessing
+from repro.config import preset
+from repro.sim.parallel import RunSpec
+from repro.sim.supervisor import SweepPolicy, run_supervised
+from repro.sim.workload import Workload
 
-    before = set(futures_process._threads_wakeups)
-    alive, still_open = [], []
-    for call in range(20):
-        report = run_supervised(_specs(["a", "b"]), jobs=2,
-                                policy=SweepPolicy(**FAST),
-                                worker=_scripted_worker)
-        assert report.ok
-        for thread, wakeup in list(futures_process._threads_wakeups.items()):
-            if thread in before:
-                continue
-            if thread.is_alive():
-                alive.append(call)
-            if not wakeup._closed:
-                still_open.append(call)
-    assert alive == [] and still_open == []
+def seed(spec):
+    return spec.seed
+
+specs = [RunSpec(scheme="(16:1:1)", workload=Workload.from_name("MIX 01"),
+                 config=preset("tiny"), seed=i) for i in range(2)]
+left = []
+for call in range(20):
+    report = run_supervised(specs, jobs=2, worker=seed,
+                            policy=SweepPolicy(poll_interval=0.01))
+    assert report.results == [0, 1], report.results
+    if multiprocessing.active_children():
+        left.append(call)
+print(left)
+"""
+
+
+def test_sweeps_reap_their_workers_and_the_process_exits_cleanly():
+    # Every run_supervised joins (or kills and reaps) each worker it forked
+    # before returning, so a process running sweeps back to back neither
+    # accumulates children nor trips over them at exit.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", _REPEATED_SWEEPS], env=env,
+                          cwd=str(REPO), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class _FakeLibc:
@@ -833,17 +909,17 @@ def test_in_process_sigterm_drains_and_resumes_bit_identically(tmp_path):
 
 def test_in_process_builds_no_pool_but_threads_and_jobs_above_one_do(
         monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.sim import supervisor
 
-    built = []
+    spawned = []  # the pid of every worker slot forked
+    spawn = supervisor._spawn_slot
 
     def spy(*args, **kwargs):
-        built.append(kwargs["max_workers"])
-        return ProcessPoolExecutor(*args, **kwargs)
+        slot = spawn(*args, **kwargs)
+        spawned.append(slot.process.pid)
+        return slot
 
-    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(supervisor, "_spawn_slot", spy)
 
     def sweep(jobs, specs=2):
         return run_supervised(_specs(["a"] * specs), jobs=jobs,
@@ -853,14 +929,14 @@ def test_in_process_builds_no_pool_but_threads_and_jobs_above_one_do(
     # jobs=4 over one spec is one process too.
     assert sweep(jobs=1) == [os.getpid()] * 2
     assert sweep(jobs=4, specs=1) == [os.getpid()]
-    assert built == []
-    # More than one process: the fork pool.
-    assert os.getpid() not in sweep(jobs=2)
-    assert built == [2]
-    # Off the main thread (no SIGALRM, no drain): the fork pool.
+    assert spawned == []
+    # More than one process: one forked slot per concurrent run.
+    assert sweep(jobs=2) == spawned
+    assert len(spawned) == 2
+    # Off the main thread (no SIGALRM, no drain): one forked slot.
     results = []
     thread = threading.Thread(target=lambda: results.extend(sweep(jobs=1)))
     thread.start()
     thread.join(120)
-    assert len(results) == 2 and os.getpid() not in results
-    assert built == [2, 1]
+    assert len(spawned) == 3
+    assert results == [spawned[2]] * 2
